@@ -764,24 +764,32 @@ int ArchiveStat(const std::string& dir) {
     std::fprintf(stderr, "%s\n", archive.status().ToString().c_str());
     return 1;
   }
+  std::error_code ec;
+  const uint64_t manifest_bytes =
+      std::filesystem::file_size(archive->ManifestPath(), ec);
+  if (ec) {
+    std::fprintf(stderr, "%s: %s\n", archive->ManifestPath().c_str(),
+                 ec.message().c_str());
+    return 1;
+  }
+  const double raw = static_cast<double>(archive->total_raw_bytes());
+  const double stored = static_cast<double>(archive->total_stored_bytes());
   std::printf("blocks: %zu  lines: %llu  raw: %.1f MB  stored: %.1f MB "
-              "(ratio %.2fx)\n",
+              "(ratio %.2fx)  manifest: %llu bytes "
+              "(ratio with manifest %.2fx)\n",
               archive->blocks().size(),
               static_cast<unsigned long long>(archive->total_lines()),
-              archive->total_raw_bytes() / 1e6,
-              archive->total_stored_bytes() / 1e6,
-              archive->total_stored_bytes() > 0
-                  ? static_cast<double>(archive->total_raw_bytes()) /
-                        static_cast<double>(archive->total_stored_bytes())
-                  : 0.0);
+              raw / 1e6, stored / 1e6, stored > 0 ? raw / stored : 0.0,
+              static_cast<unsigned long long>(manifest_bytes),
+              raw / (stored + manifest_bytes));
   for (const BlockInfo& b : archive->blocks()) {
     std::printf("  block %-3u lines [%llu, %llu)  %8llu -> %8llu bytes  "
-                "bloom fill %.2f\n",
+                "bloom %7zu bytes fill %.2f\n",
                 b.seq, static_cast<unsigned long long>(b.first_line),
                 static_cast<unsigned long long>(b.first_line + b.line_count),
                 static_cast<unsigned long long>(b.raw_bytes),
                 static_cast<unsigned long long>(b.stored_bytes),
-                b.shingles.FillRatio());
+                b.shingles.SizeBytes(), b.shingles.FillRatio());
   }
   return 0;
 }
