@@ -44,7 +44,7 @@ struct EngineOptions {
   // Shared box/capsule cache. When `box_cache` is null and `use_box_cache`
   // is set, the engine owns a private cache sized by
   // `box_cache_budget_bytes`; pass an external cache to share it across
-  // engines (LogArchive does this for its ParallelQuery workers).
+  // engines (LogArchive does this for its threaded-query workers).
   bool use_box_cache = true;
   size_t box_cache_budget_bytes = 256ull << 20;
   BoxCache* box_cache = nullptr;  // borrowed; must outlive the engine
@@ -81,25 +81,23 @@ class LogGrepEngine {
 
   // Runs a grep-like query command against a CapsuleBox. Box identity is
   // content-derived (BoxKey::FromBytes).
-  Result<QueryResult> Query(std::string_view box_bytes, std::string_view command);
+  //
+  // `explain` (optional) attaches a recorder that fills it with the
+  // per-variable-vector, per-Capsule decision tree (see
+  // src/query/explain.h). An explained execution bypasses the command-level
+  // QueryCache in both directions: the record must describe a real
+  // execution, and a synthetic cache-bypass run must not overwrite the
+  // cache's cost snapshots.
+  Result<QueryResult> Query(std::string_view box_bytes,
+                            std::string_view command,
+                            BlockExplain* explain = nullptr);
 
   // Same, but with an externally assigned identity and a lazy loader: on a
   // warm box-cache entry the loader is never invoked, so callers that read
   // box bytes from disk (LogArchive) skip the file read entirely.
   Result<QueryResult> QueryBox(const BoxKey& key, const BoxLoader& load,
-                               std::string_view command);
-
-  // Explain variants: run the query with a recorder attached, filling
-  // `block` with the per-variable-vector, per-Capsule decision tree (see
-  // src/query/explain.h). Explained executions bypass the command-level
-  // QueryCache in both directions — the record must describe a real
-  // execution, and a synthetic cache-bypass run must not overwrite the
-  // cache's cost snapshots. `block` must be non-null.
-  Result<QueryResult> ExplainQuery(std::string_view box_bytes,
-                                   std::string_view command,
-                                   BlockExplain* block);
-  Result<QueryResult> ExplainBox(const BoxKey& key, const BoxLoader& load,
-                                 std::string_view command, BlockExplain* block);
+                               std::string_view command,
+                               BlockExplain* explain = nullptr);
 
   const EngineOptions& options() const { return options_; }
   const QueryCache& cache() const { return cache_; }

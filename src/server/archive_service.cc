@@ -146,6 +146,41 @@ std::string RenderErrorJson(const Status& status) {
   return out;
 }
 
+ServiceResponse ErrorResponse(const Status& status) {
+  ServiceResponse response;
+  response.http_status = HttpStatusForQueryError(status);
+  response.body = RenderErrorJson(status);
+  return response;
+}
+
+// The request's degrade/deadline switches as call-scoped query options.
+QueryOptions QueryOptionsFor(const ServiceRequest& request) {
+  QueryOptions options;
+  options.degrade = request.degrade;
+  options.deadline_ns = request.deadline_ms * 1'000'000ull;
+  return options;
+}
+
+// Access-log mirror of an archive or set result (both carry these fields).
+template <typename QueryResultT>
+ServiceQueryStats StatsOf(const QueryResultT& result) {
+  const LocatorStats& s = result.locator;
+  ServiceQueryStats stats;
+  stats.hits = result.hits.size();
+  stats.blocks_queried = result.blocks_queried;
+  stats.blocks_from_cache = result.blocks_from_cache;
+  stats.cache_hits = s.cache_hits;
+  stats.cache_misses = s.cache_misses;
+  stats.bytes_decompressed = s.bytes_decompressed;
+  stats.prune_ns = s.prune_nanos;
+  stats.open_ns = s.open_nanos;
+  stats.stamp_filter_ns = s.stamp_filter_nanos;
+  stats.decompress_ns = s.decompress_nanos;
+  stats.scan_ns = s.scan_nanos;
+  stats.reconstruct_ns = s.reconstruct_nanos;
+  return stats;
+}
+
 // The federated success body. Same top-level shape as RenderQueryJson so
 // clients parse both, plus a "shards" accounting object and per-shard holes:
 //   {"complete":bool,"hits":[[line,"text"],...],"stats":{...},
@@ -339,12 +374,9 @@ Result<std::shared_ptr<ArchiveService::Handle>> ArchiveService::GetOrOpen(
 
 ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
   const TraceSpan span("server.run_query", "server");
-  ServiceResponse response;
   Result<std::shared_ptr<Handle>> handle = GetOrOpen(request.archive);
   if (!handle.ok()) {
-    response.http_status = HttpStatusForQueryError(handle.status());
-    response.body = RenderErrorJson(handle.status());
-    return response;
+    return ErrorResponse(handle.status());
   }
 
   std::lock_guard<std::mutex> lock((*handle)->mu);
@@ -352,45 +384,20 @@ ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
     return RunOnSet(request, handle->get());
   }
   LogArchive* archive = (*handle)->archive.get();
-  // Per-request knobs, applied under the archive lock so they only govern
-  // this execution. The deadline feeds the RetryBudget every storage retry
-  // in this query checks; restore the server defaults afterwards.
-  const uint64_t default_deadline = options_.archive.query_deadline_ns;
-  const bool default_degrade = options_.archive.degraded_queries;
-  if (request.deadline_ms > 0) {
-    archive->set_query_deadline_ns(request.deadline_ms * 1'000'000ull);
-  }
-  archive->set_degraded_queries(request.degrade);
-
+  const QueryOptions options = QueryOptionsFor(request);
   QueryExplain explain;
   Result<ArchiveQueryResult> result =
-      request.explain ? archive->Explain(request.command, &explain)
-                      : archive->Query(request.command);
-  archive->set_query_deadline_ns(default_deadline);
-  archive->set_degraded_queries(default_degrade);
-
+      request.explain ? archive->Explain(request.command, &explain, options)
+                      : archive->Query(request.command, options);
   if (!result.ok()) {
-    response.http_status = HttpStatusForQueryError(result.status());
-    response.body = RenderErrorJson(result.status());
-    return response;
+    return ErrorResponse(result.status());
   }
+  ServiceResponse response;
   response.http_status = result->partial.partial() ? 206 : 200;
   response.degraded = result->partial.partial();
   response.body =
       RenderQueryJson(*result, request.explain ? &explain : nullptr);
-  const LocatorStats& s = result->locator;
-  response.stats.hits = result->hits.size();
-  response.stats.blocks_queried = result->blocks_queried;
-  response.stats.blocks_from_cache = result->blocks_from_cache;
-  response.stats.cache_hits = s.cache_hits;
-  response.stats.cache_misses = s.cache_misses;
-  response.stats.bytes_decompressed = s.bytes_decompressed;
-  response.stats.prune_ns = s.prune_nanos;
-  response.stats.open_ns = s.open_nanos;
-  response.stats.stamp_filter_ns = s.stamp_filter_nanos;
-  response.stats.decompress_ns = s.decompress_nanos;
-  response.stats.scan_ns = s.scan_nanos;
-  response.stats.reconstruct_ns = s.reconstruct_nanos;
+  response.stats = StatsOf(*result);
   if (request.explain) {
     response.explain_render = explain.Render();
   }
@@ -401,9 +408,7 @@ ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
 // the set's shards under this handle's lock (caller holds it).
 ServiceResponse ArchiveService::RunOnSet(const ServiceRequest& request,
                                          Handle* handle) {
-  ServiceResponse response;
   ArchiveSet* set = handle->set.get();
-
   SetQueryPredicate pred;
   if (!request.tenant.empty()) {
     pred.tenant = request.tenant;
@@ -411,48 +416,23 @@ ServiceResponse ArchiveService::RunOnSet(const ServiceRequest& request,
   pred.from_ns = request.from_ns;
   pred.to_ns = request.to_ns;
   if (pred.from_ns > pred.to_ns) {
-    const Status bad = InvalidArgument("empty time range: from > to");
-    response.http_status = HttpStatusForQueryError(bad);
-    response.body = RenderErrorJson(bad);
-    return response;
+    return ErrorResponse(InvalidArgument("empty time range: from > to"));
   }
 
-  const uint64_t default_deadline = options_.archive.query_deadline_ns;
-  const bool default_degrade = options_.archive.degraded_queries;
-  if (request.deadline_ms > 0) {
-    set->set_query_deadline_ns(request.deadline_ms * 1'000'000ull);
-  }
-  set->set_degraded_queries(request.degrade);
-
+  const QueryOptions options = QueryOptionsFor(request);
   SetExplain explain;
   Result<SetQueryResult> result =
-      request.explain ? set->Explain(request.command, pred, &explain)
-                      : set->Query(request.command, pred);
-  set->set_query_deadline_ns(default_deadline);
-  set->set_degraded_queries(default_degrade);
-
+      request.explain ? set->Explain(request.command, pred, &explain, options)
+                      : set->Query(request.command, pred, options);
   if (!result.ok()) {
-    response.http_status = HttpStatusForQueryError(result.status());
-    response.body = RenderErrorJson(result.status());
-    return response;
+    return ErrorResponse(result.status());
   }
+  ServiceResponse response;
   response.http_status = result->complete() ? 200 : 206;
   response.degraded = !result->complete();
   response.body =
       RenderSetQueryJson(*result, request.explain ? &explain : nullptr);
-  const LocatorStats& s = result->locator;
-  response.stats.hits = result->hits.size();
-  response.stats.blocks_queried = result->blocks_queried;
-  response.stats.blocks_from_cache = result->blocks_from_cache;
-  response.stats.cache_hits = s.cache_hits;
-  response.stats.cache_misses = s.cache_misses;
-  response.stats.bytes_decompressed = s.bytes_decompressed;
-  response.stats.prune_ns = s.prune_nanos;
-  response.stats.open_ns = s.open_nanos;
-  response.stats.stamp_filter_ns = s.stamp_filter_nanos;
-  response.stats.decompress_ns = s.decompress_nanos;
-  response.stats.scan_ns = s.scan_nanos;
-  response.stats.reconstruct_ns = s.reconstruct_nanos;
+  response.stats = StatsOf(*result);
   if (request.explain) {
     response.explain_render = explain.Render();
   }
@@ -460,25 +440,20 @@ ServiceResponse ArchiveService::RunOnSet(const ServiceRequest& request,
 }
 
 ServiceResponse ArchiveService::Compact(const std::string& archive) {
-  ServiceResponse response;
   Result<std::shared_ptr<Handle>> handle = GetOrOpen(archive);
   if (!handle.ok()) {
-    response.http_status = HttpStatusForQueryError(handle.status());
-    response.body = RenderErrorJson(handle.status());
-    return response;
+    return ErrorResponse(handle.status());
   }
   if ((*handle)->set == nullptr) {
-    const Status bad =
+    return ErrorResponse(
         InvalidArgument("compaction targets an ArchiveSet root; '" + archive +
-                        "' is a plain archive");
-    response.http_status = HttpStatusForQueryError(bad);
-    response.body = RenderErrorJson(bad);
-    return response;
+                        "' is a plain archive"));
   }
   // Deliberately not under handle->mu: Compact serializes against other
   // compactors itself and commits under the set's own lock, so queries keep
   // flowing while blocks are rewritten.
   const SetCompactionReport report = (*handle)->set->Compact();
+  ServiceResponse response;
   response.http_status = report.ok() ? 200 : 500;
   std::string& out = response.body;
   out.append("{\"ok\":");

@@ -7,14 +7,16 @@
 // keeps one handle per archive directory: first request pays the cold open,
 // every later request from any client starts warm.
 //
-// Concurrency model: LogArchive is not safe for concurrent Query calls (the
-// embedded engine's command cache and the quarantine set are unsynchronized
-// by design — single-process library users own their threading). The
-// service therefore serializes queries *per archive* with one mutex per
-// handle, while different archives run fully in parallel and the BoxCache
-// inside each archive stays warm across all callers. Admission control
-// (how many queries may be in flight process-wide) lives in the daemon, not
-// here.
+// Concurrency model: a request's degrade and deadline switches travel with
+// the call as QueryOptions, so no request state is parked on a shared
+// handle. The per-handle mutex exists only because the read path itself is
+// not thread-safe: a query still mutates the embedded engine's command
+// cache and the quarantine set, both unsynchronized by design (single-
+// process library users own their threading). Queries therefore serialize
+// *per archive*, while different archives run fully in parallel and the
+// BoxCache inside each archive stays warm across all callers. Admission
+// control (how many queries may be in flight process-wide) lives in the
+// daemon, not here.
 //
 // This header is also the single home of the status contract shared by the
 // CLI and the HTTP API (see HttpStatusForQuery / ExitCodeForHttpStatus):
@@ -59,8 +61,8 @@ namespace loggrep {
 
 struct ServiceOptions {
   // Base options for every archive the service opens (metrics registry,
-  // storage env, cache budget, retry policy). Per-request deadline/degrade
-  // overrides are applied on top, under the archive lock.
+  // storage env, cache budget, retry policy). Each request's deadline and
+  // degrade switches are passed per call as QueryOptions.
   ArchiveOptions archive;
   // Root directory archive names resolve under. A request's `archive`
   // parameter is a relative path below this root; "" or "." is the root
@@ -85,7 +87,10 @@ struct ServiceRequest {
   std::string command;   // query command (§3 syntax)
   bool explain = false;  // run Explain() and include the decision tree
   bool degrade = true;   // false = fail on first block failure (HTTP 500)
-  uint64_t deadline_ms = 0;  // per-query retry budget; 0 = server default
+  // Per-query retry budget; 0 = no deadline. Callers keep it at most
+  // UINT64_MAX / 10^6 so the conversion to ns cannot wrap (loggrepd rejects
+  // larger values with 400).
+  uint64_t deadline_ms = 0;
 
   // Federation predicates (HTTP `tenant=` / `from=` / `to=`), honored when
   // the resolved directory is an ArchiveSet root (it has a

@@ -86,6 +86,34 @@ bool ParamIsFalse(const HttpRequest& request, const std::string& name) {
   return it->second == "0" || it->second == "false" || it->second == "no";
 }
 
+// Reads the optional decimal parameter `name` into `*out` (left untouched
+// when absent). False when the value is not all decimal digits or exceeds
+// `max` — strtoull would read "abc" as 0, "1e9" as 1 and wrap "-1".
+bool ReadDecimalParam(const HttpRequest& request, const std::string& name,
+                      uint64_t max, uint64_t* out) {
+  const auto it = request.params.find(name);
+  if (it == request.params.end()) {
+    return true;
+  }
+  const std::string& text = it->second;
+  if (text.empty()) {
+    return false;
+  }
+  uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') {
+      return false;
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (max - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 LoggrepDaemon::LoggrepDaemon(DaemonOptions options)
@@ -169,7 +197,7 @@ Result<uint16_t> LoggrepDaemon::Start() {
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread([this, fd] { AcceptLoop(fd); });
   return port_;
 }
 
@@ -202,11 +230,11 @@ void LoggrepDaemon::Shutdown() {
   access_log_->Flush();  // every served request's line reaches the sinks
 }
 
-void LoggrepDaemon::AcceptLoop() {
+void LoggrepDaemon::AcceptLoop(int listen_fd) {
   Tracer::Global().SetCurrentThreadName("loggrepd-accept");
   Counter* accepted = metrics_->GetOrCreate("server.connections_accepted");
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) {
         continue;
@@ -444,23 +472,28 @@ HttpResponse LoggrepDaemon::RunQuery(const HttpRequest& request,
   }
   sr.explain = explain;
   sr.degrade = !ParamIsFalse(request, "degrade");
-  const auto deadline = request.params.find("deadline_ms");
-  if (deadline != request.params.end()) {
-    sr.deadline_ms = std::strtoull(deadline->second.c_str(), nullptr, 10);
-  }
   // Federation predicates (honored when the archive is an ArchiveSet root):
   // tenant name plus an inclusive [from, to] event-time window in ns.
   const auto tenant = request.params.find("tenant");
   if (tenant != request.params.end()) {
     sr.tenant = tenant->second;
   }
-  const auto from = request.params.find("from");
-  if (from != request.params.end()) {
-    sr.from_ns = std::strtoull(from->second.c_str(), nullptr, 10);
-  }
-  const auto to = request.params.find("to");
-  if (to != request.params.end()) {
-    sr.to_ns = std::strtoull(to->second.c_str(), nullptr, 10);
+  // The deadline is converted to ns downstream; its cap keeps that from
+  // wrapping.
+  struct NumericParam {
+    const char* name;
+    uint64_t max;
+    uint64_t* field;
+  };
+  for (const NumericParam& p :
+       {NumericParam{"deadline_ms", UINT64_MAX / 1'000'000, &sr.deadline_ms},
+        NumericParam{"from", UINT64_MAX, &sr.from_ns},
+        NumericParam{"to", UINT64_MAX, &sr.to_ns}}) {
+    if (!ReadDecimalParam(request, p.name, p.max, p.field)) {
+      return JsonError(400, std::string(p.name) +
+                                " must be a decimal integer of at most " +
+                                std::to_string(p.max));
+    }
   }
   rec->archive = sr.archive;
   rec->command = sr.command;

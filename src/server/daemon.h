@@ -161,7 +161,9 @@ class LoggrepDaemon {
     std::string explain_render;  // filled when the request was /explain
   };
 
-  void AcceptLoop();
+  // Takes the listener by value: listen_fd_ belongs to the thread that
+  // calls Start/Shutdown, which resets it while this loop still runs.
+  void AcceptLoop(int listen_fd);
   void HandleConnection(int fd);
   // Routes one parsed request. Sets `close_after` when the response must be
   // the connection's last (errors, drain).

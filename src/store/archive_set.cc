@@ -149,27 +149,6 @@ std::string ArchiveSet::SetManifestPath(const std::string& root) {
 }
 
 std::string ArchiveSet::SerializeSetManifest(
-    uint64_t window_span_ns, uint64_t next_shard_id, uint64_t next_line_base,
-    const std::vector<ShardInfo>& shards) {
-  SetManifestHeader header;
-  header.window_span_ns = window_span_ns;
-  header.next_shard_id = next_shard_id;
-  header.next_line_base = next_line_base;
-  return SerializeSetManifest(header, shards);
-}
-
-Result<std::vector<ShardInfo>> ArchiveSet::ParseSetManifest(
-    std::string_view bytes, uint64_t* window_span_ns, uint64_t* next_shard_id,
-    uint64_t* next_line_base) {
-  SetManifestHeader header;
-  Result<std::vector<ShardInfo>> shards = ParseSetManifest(bytes, &header);
-  *window_span_ns = header.window_span_ns;
-  *next_shard_id = header.next_shard_id;
-  *next_line_base = header.next_line_base;
-  return shards;
-}
-
-std::string ArchiveSet::SerializeSetManifest(
     const SetManifestHeader& header, const std::vector<ShardInfo>& shards) {
   std::string out = "{\"version\":" + std::to_string(kSetManifestVersion);
   bool first = false;
@@ -651,28 +630,21 @@ std::string SetQueryResult::RenderPartial() const {
 }
 
 Result<SetQueryResult> ArchiveSet::Query(std::string_view command,
-                                         const SetQueryPredicate& pred) {
-  return QueryImpl(command, pred, /*num_threads=*/0, /*explain=*/nullptr);
-}
-
-Result<SetQueryResult> ArchiveSet::ParallelQuery(std::string_view command,
-                                                 const SetQueryPredicate& pred,
-                                                 size_t num_threads) {
-  if (num_threads == 0) {
-    return InvalidArgument("ParallelQuery needs at least one thread");
-  }
-  return QueryImpl(command, pred, num_threads, /*explain=*/nullptr);
+                                         const SetQueryPredicate& pred,
+                                         const QueryOptions& options) {
+  return QueryImpl(command, pred, options, /*explain=*/nullptr);
 }
 
 Result<SetQueryResult> ArchiveSet::Explain(std::string_view command,
                                            const SetQueryPredicate& pred,
-                                           SetExplain* explain) {
-  return QueryImpl(command, pred, /*num_threads=*/0, explain);
+                                           SetExplain* explain,
+                                           const QueryOptions& options) {
+  return QueryImpl(command, pred, options, explain);
 }
 
 Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
                                              const SetQueryPredicate& pred,
-                                             size_t num_threads,
+                                             const QueryOptions& options,
                                              SetExplain* explain) {
   std::lock_guard<std::mutex> lock(mu_);
   // A malformed command must fail even when every shard is pruned (the
@@ -727,7 +699,7 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
     }
     Result<LogArchive*> arch = OpenShardLocked(i);
     if (!arch.ok()) {
-      if (!options_.archive.degraded_queries) {
+      if (!options.degrade) {
         return arch.status();
       }
       ++result.shards_failed;
@@ -749,7 +721,10 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
 
   // Scatter. Each visit queries a distinct LogArchive, so parallel workers
   // never share mutable state (they do share the env and, per archive, a
-  // BoxCache — both thread-safe).
+  // BoxCache — both thread-safe). Shards run their blocks serially: the
+  // shard fan-out is the only pool.
+  QueryOptions shard_options = options;
+  shard_options.threads = 0;
   struct Slot {
     bool done = false;
     Status status = OkStatus();
@@ -761,8 +736,9 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
     Result<ArchiveQueryResult> r =
         explain != nullptr
             ? visits[v].archive->Explain(
-                  command, &explain->shards[visits[v].explain_index].archive)
-            : visits[v].archive->Query(command);
+                  command, &explain->shards[visits[v].explain_index].archive,
+                  shard_options)
+            : visits[v].archive->Query(command, shard_options);
     if (r.ok()) {
       slot.result = std::move(*r);
       slot.done = true;
@@ -770,8 +746,8 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
       slot.status = r.status();
     }
   };
-  if (num_threads > 1 && visits.size() > 1) {
-    ThreadPool pool(std::min(num_threads, visits.size()));
+  if (options.threads > 1 && visits.size() > 1) {
+    ThreadPool pool(std::min(options.threads, visits.size()));
     for (size_t v = 0; v < visits.size(); ++v) {
       pool.Submit([&, v] { run_one(v); });
     }
@@ -791,7 +767,7 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
       // A whole-shard query failure. Query-syntax errors never degrade
       // (same rule as LogArchive) — but the upfront parse already caught
       // those, so any InvalidArgument here is real and must surface.
-      if (!options_.archive.degraded_queries ||
+      if (!options.degrade ||
           slot.status.code() == StatusCode::kInvalidArgument) {
         return slot.status;
       }
@@ -985,22 +961,6 @@ Status ArchiveSet::RefreshStats() {
     }
   }
   return first_error;
-}
-
-void ArchiveSet::set_degraded_queries(bool degraded) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_.archive.degraded_queries = degraded;
-  for (auto& [id, archive] : open_) {
-    archive->set_degraded_queries(degraded);
-  }
-}
-
-void ArchiveSet::set_query_deadline_ns(uint64_t deadline_ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_.archive.query_deadline_ns = deadline_ns;
-  for (auto& [id, archive] : open_) {
-    archive->set_query_deadline_ns(deadline_ns);
-  }
 }
 
 SetRepairReport ArchiveSet::RepairAll() {

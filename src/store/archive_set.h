@@ -61,9 +61,10 @@
 // it to HTTP 206 exactly as for a single archive.
 //
 // Thread-safety: public methods serialize on one internal mutex (so the
-// background janitor can run against live traffic); ParallelQuery fans the
-// *per-shard* work across a ThreadPool while holding it — distinct shards
-// are distinct archives, so workers never contend.
+// background janitor can run against live traffic); a query with
+// QueryOptions::threads > 1 fans the *per-shard* work across a ThreadPool
+// while holding it — distinct shards are distinct archives, so workers never
+// contend.
 #ifndef SRC_STORE_ARCHIVE_SET_H_
 #define SRC_STORE_ARCHIVE_SET_H_
 
@@ -88,7 +89,7 @@ namespace loggrep {
 
 struct ArchiveSetOptions {
   // Per-shard archive options (storage env, retry policy, cache budget,
-  // metrics registry, degraded-query switch — all apply to every shard).
+  // metrics registry — all apply to every shard).
   ArchiveOptions archive;
   // Time-window span for shard partitioning. 0 = one unbounded window per
   // tenant (shards then roll on size only).
@@ -257,21 +258,21 @@ class ArchiveSet {
   Result<AppendReceipt> Append(std::string_view tenant, std::string_view text,
                                uint64_t ts_ns = 0);
 
-  // Federated query over every live shard surviving `pred`. Serial
-  // (shard-at-a-time) scatter.
+  // Federated query over every live shard surviving `pred`. With
+  // `options.threads` > 1 the surviving shards are queried concurrently on
+  // that many pool workers; each shard still runs its own blocks serially
+  // (pools never nest). `degrade` and `deadline_ns` apply to every shard,
+  // each shard getting its own retry budget.
   Result<SetQueryResult> Query(std::string_view command,
-                               const SetQueryPredicate& pred = {});
-  // Same result; surviving shards are queried concurrently on
-  // `num_threads` pool workers.
-  Result<SetQueryResult> ParallelQuery(std::string_view command,
-                                       const SetQueryPredicate& pred,
-                                       size_t num_threads);
+                               const SetQueryPredicate& pred = {},
+                               const QueryOptions& options = {});
   // Query with the full shard-level decision record (pruned shards carry
   // the rejecting predicate; visited shards carry their per-block
-  // QueryExplain). Serial, like LogArchive::Explain.
+  // QueryExplain).
   Result<SetQueryResult> Explain(std::string_view command,
                                  const SetQueryPredicate& pred,
-                                 SetExplain* explain);
+                                 SetExplain* explain,
+                                 const QueryOptions& options = {});
 
   // Expires sealed shards whose newest event timestamp is older than
   // now_ns - retention_ns (plus sealed empty shards). No-op when
@@ -342,12 +343,6 @@ class ArchiveSet {
   // thread-safe; set before driving traffic.
   void set_commit_hook(SetCommitHook hook) { hook_ = std::move(hook); }
 
-  // Per-request knobs for the serving layer: applied to every shard archive
-  // currently open and to every shard opened afterwards. Thread-safe (takes
-  // the set lock); the caller restores the defaults after its query.
-  void set_degraded_queries(bool degraded);
-  void set_query_deadline_ns(uint64_t deadline_ns);
-
   // Opens every live shard whose persisted stats are stale (unsealed at the
   // last crash/close) and refreshes lines/bytes from its archive, so
   // shards()/total_*() report exact numbers. Best-effort per shard: an
@@ -388,23 +383,16 @@ class ArchiveSet {
                                           const std::vector<ShardInfo>& shards);
   static Result<std::vector<ShardInfo>> ParseSetManifest(
       std::string_view bytes, SetManifestHeader* header);
-  // Back-compat shims for the pre-generation call shape.
-  static std::string SerializeSetManifest(uint64_t window_span_ns,
-                                          uint64_t next_shard_id,
-                                          uint64_t next_line_base,
-                                          const std::vector<ShardInfo>& shards);
-  static Result<std::vector<ShardInfo>> ParseSetManifest(
-      std::string_view bytes, uint64_t* window_span_ns,
-      uint64_t* next_shard_id, uint64_t* next_line_base);
 
  private:
   ArchiveSet(std::string root, ArchiveSetOptions options);
 
   // Shared scatter-gather body. When `explain` is non-null the per-shard
-  // queries run through LogArchive::Explain. num_threads == 0 => serial.
+  // queries run through LogArchive::Explain.
   Result<SetQueryResult> QueryImpl(std::string_view command,
                                    const SetQueryPredicate& pred,
-                                   size_t num_threads, SetExplain* explain);
+                                   const QueryOptions& options,
+                                   SetExplain* explain);
 
   Status WriteSetManifestLocked();
   // Opens (and caches) the archive of shard `index` in shards_. For an

@@ -4,7 +4,6 @@
 #include <ctime>
 #include <filesystem>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/common/hash.h"
@@ -673,10 +672,9 @@ bool LogArchive::SkipIfQuarantined(const BlockInfo& block,
 }
 
 bool LogArchive::DegradeOnFailure(const BlockInfo& block, const Status& cause,
-                                  PartialReport* report) {
+                                  bool degrade, PartialReport* report) {
   // A malformed query is the caller's bug, not the block's: never degrade.
-  if (!options_.degraded_queries ||
-      cause.code() == StatusCode::kInvalidArgument) {
+  if (!degrade || cause.code() == StatusCode::kInvalidArgument) {
     return false;
   }
   QuarantineBlock(block, cause);
@@ -723,66 +721,27 @@ uint64_t LogArchive::PruneBlocks(const std::vector<std::string>& required,
   return ElapsedNanos(timer);
 }
 
-Result<ArchiveQueryResult> LogArchive::Query(std::string_view command) {
-  const TraceSpan span("archive.query", "query");
-  Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
-  if (!expr.ok()) {
-    return expr.status();
-  }
-  const std::vector<std::string> required = RequiredKeywords(**expr);
-
-  ArchiveQueryResult result;
-  std::vector<const BlockInfo*> to_query;
-  result.locator.prune_nanos =
-      PruneBlocks(required, &to_query, &result.blocks_pruned);
-
-  const RetryBudget budget(storage_env(), options_.query_deadline_ns);
-  for (const BlockInfo* block : to_query) {
-    if (SkipIfQuarantined(*block, &result.partial)) {
-      // Strict mode is complete-or-error: a standing hole (even one a repair
-      // already tombstoned) makes the answer incomplete, so it must fail
-      // rather than silently narrow to the healthy blocks.
-      if (!options_.degraded_queries) {
-        return Status(StatusCode::kUnavailable,
-                      "block " + std::to_string(block->seq) +
-                          " is quarantined and degraded queries are "
-                          "disabled: " +
-                          result.partial.failures.back().error);
-      }
-      continue;  // standing hole; no retry storm on a known-sick block
-    }
-    const TraceSpan block_span("archive.query_block", "query", "seq",
-                               block->seq);
-    // Warm blocks never touch the file: the loader only runs on a box-cache
-    // miss (or when the archive runs without a cache).
-    auto loader = [this, block, &budget]() -> Result<std::string> {
-      return LoadBlockBytes(block->seq, &budget);
-    };
-    Result<QueryResult> block_result =
-        engine_.QueryBox(KeyForBlock(block->seq), loader, command);
-    if (!block_result.ok()) {
-      if (DegradeOnFailure(*block, block_result.status(), &result.partial)) {
-        continue;
-      }
-      return block_result.status();
-    }
-    ++result.blocks_queried;
-    if (block_result->from_cache) {
-      ++result.blocks_from_cache;
-    }
-    for (auto& [line, text_line] : block_result->hits) {
-      result.hits.emplace_back(block->first_line + line, std::move(text_line));
-    }
-    result.locator.Accumulate(block_result->locator);
-  }
-  return result;
+Result<ArchiveQueryResult> LogArchive::Query(std::string_view command,
+                                             const QueryOptions& options) {
+  return RunQuery(command, options, /*explain=*/nullptr);
 }
 
 Result<ArchiveQueryResult> LogArchive::Explain(std::string_view command,
-                                               QueryExplain* explain) {
-  const TraceSpan span("archive.explain", "query");
+                                               QueryExplain* explain,
+                                               const QueryOptions& options) {
   explain->command.assign(command.data(), command.size());
   explain->blocks.clear();
+  return RunQuery(command, options, explain);
+}
+
+Result<ArchiveQueryResult> LogArchive::RunQuery(std::string_view command,
+                                                const QueryOptions& options,
+                                                QueryExplain* explain) {
+  const bool threaded = options.threads > 1;
+  const TraceSpan span(explain != nullptr ? "archive.explain"
+                       : threaded         ? "archive.parallel_query"
+                                          : "archive.query",
+                       "query");
   Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
   if (!expr.ok()) {
     return expr.status();
@@ -793,138 +752,112 @@ Result<ArchiveQueryResult> LogArchive::Explain(std::string_view command,
   std::vector<const BlockInfo*> to_query;
   result.locator.prune_nanos =
       PruneBlocks(required, &to_query, &result.blocks_pruned, explain);
-
-  // PruneBlocks appended one BlockExplain per block, in blocks_ order; map
-  // seq -> slot so each queried block fills its own record.
-  std::unordered_map<uint32_t, size_t> slot_of_seq;
-  slot_of_seq.reserve(explain->blocks.size());
-  for (size_t i = 0; i < explain->blocks.size(); ++i) {
-    slot_of_seq.emplace(explain->blocks[i].seq, i);
-  }
-
-  const RetryBudget budget(storage_env(), options_.query_deadline_ns);
-  for (const BlockInfo* block : to_query) {
-    BlockExplain* be = &explain->blocks[slot_of_seq.at(block->seq)];
-    if (SkipIfQuarantined(*block, &result.partial)) {
-      if (!options_.degraded_queries) {
-        return Status(StatusCode::kUnavailable,
-                      "block " + std::to_string(block->seq) +
-                          " is quarantined and degraded queries are "
-                          "disabled: " +
-                          result.partial.failures.back().error);
-      }
+  // PruneBlocks appended one BlockExplain per block, in blocks_ order.
+  auto explain_of = [&](const BlockInfo* block) -> BlockExplain* {
+    return explain != nullptr ? &explain->blocks[block - blocks_.data()]
+                              : nullptr;
+  };
+  auto mark_failed = [&](const BlockInfo* block) {
+    if (BlockExplain* be = explain_of(block)) {
       be->block_failed = true;
       be->failure = result.partial.failures.back().error;
+    }
+  };
+
+  // Known-sick blocks are standing holes, skipped without touching storage
+  // (no retry storm on a known-sick block). Strict mode is complete-or-error:
+  // a standing hole (even one a repair already tombstoned) makes the answer
+  // incomplete, so it fails rather than silently narrowing to healthy blocks.
+  std::vector<const BlockInfo*> healthy;
+  healthy.reserve(to_query.size());
+  for (const BlockInfo* block : to_query) {
+    if (!SkipIfQuarantined(*block, &result.partial)) {
+      healthy.push_back(block);
       continue;
     }
+    if (!options.degrade) {
+      return Status(StatusCode::kUnavailable,
+                    "block " + std::to_string(block->seq) +
+                        " is quarantined and degraded queries are disabled: " +
+                        result.partial.failures.back().error);
+    }
+    mark_failed(block);
+  }
+
+  struct Slot {
+    Status status;
+    QueryResult result;
+  };
+  std::vector<Slot> slots(healthy.size());
+  // One retry budget for the whole call: the *query* has a deadline, not
+  // each block (Expired() is a lock-free read of the env clock, so workers
+  // share it).
+  const RetryBudget budget(storage_env(), options.deadline_ns);
+  auto run_block = [&](LogGrepEngine& engine, size_t i) {
+    const BlockInfo* block = healthy[i];
     const TraceSpan block_span("archive.query_block", "query", "seq",
                                block->seq);
+    // Warm blocks never touch the file: the loader only runs on a box-cache
+    // miss (or when the archive runs without a cache).
     auto loader = [this, block, &budget]() -> Result<std::string> {
       return LoadBlockBytes(block->seq, &budget);
     };
-    Result<QueryResult> block_result =
-        engine_.ExplainBox(KeyForBlock(block->seq), loader, command, be);
-    if (!block_result.ok()) {
-      if (DegradeOnFailure(*block, block_result.status(), &result.partial)) {
-        be->block_failed = true;
-        be->failure = result.partial.failures.back().error;
-        continue;
-      }
-      return block_result.status();
+    Result<QueryResult> r = engine.QueryBox(KeyForBlock(block->seq), loader,
+                                            command, explain_of(block));
+    if (r.ok()) {
+      slots[i].result = std::move(*r);
+    } else {
+      slots[i].status = r.status();
     }
-    ++result.blocks_queried;
-    for (auto& [line, text_line] : block_result->hits) {
-      result.hits.emplace_back(block->first_line + line, std::move(text_line));
-    }
-    result.locator.Accumulate(block_result->locator);
-  }
-  return result;
-}
-
-Result<ArchiveQueryResult> LogArchive::ParallelQuery(std::string_view command,
-                                                     size_t num_threads) {
-  const TraceSpan span("archive.parallel_query", "query");
-  Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
-  if (!expr.ok()) {
-    return expr.status();
-  }
-  const std::vector<std::string> required = RequiredKeywords(**expr);
-
-  ArchiveQueryResult result;
-  std::vector<const BlockInfo*> to_query;
-  result.locator.prune_nanos =
-      PruneBlocks(required, &to_query, &result.blocks_pruned);
-
-  // Known-sick blocks are skipped up front (a standing hole each); only
-  // healthy blocks are fanned out to workers.
-  std::vector<const BlockInfo*> submitted;
-  submitted.reserve(to_query.size());
-  for (const BlockInfo* block : to_query) {
-    if (!SkipIfQuarantined(*block, &result.partial)) {
-      submitted.push_back(block);
-    }
-  }
-
-  struct PerBlock {
-    Status status;
-    QueryHits hits;
-    LocatorStats locator;
   };
-  std::vector<PerBlock> slots(submitted.size());
-  // One retry budget shared by every worker: the *query* has a deadline, not
-  // each block (Expired() is a lock-free read of the env clock).
-  const RetryBudget budget(storage_env(), options_.query_deadline_ns);
-  {
-    ThreadPool pool(num_threads);
-    for (size_t i = 0; i < submitted.size(); ++i) {
-      const BlockInfo* block = submitted[i];
-      PerBlock* slot = &slots[i];
-      const std::string command_copy(command);
-      const BoxKey key = KeyForBlock(block->seq);
-      EngineOptions opts = options_.engine;
-      opts.use_cache = false;  // per-task engines share no command cache...
-      // ...but they all share the archive's BoxCache: a block decompressed by
-      // one worker (or a prior serial query) is warm for every other.
-      opts.box_cache = box_cache_.get();
-      opts.use_box_cache = box_cache_ != nullptr;
-      pool.Submit([this, block, slot, command_copy, key, opts, &budget] {
-        // ThreadPool installs the submitting span as parent, so this span
-        // nests under archive.parallel_query in the exported trace even
-        // though it runs on a worker thread.
-        const TraceSpan block_span("archive.query_block", "query", "seq",
-                                   block->seq);
-        LogGrepEngine engine(opts);
-        auto loader = [this, block, &budget]() -> Result<std::string> {
-          return LoadBlockBytes(block->seq, &budget);
-        };
-        Result<QueryResult> r = engine.QueryBox(key, loader, command_copy);
-        if (!r.ok()) {
-          slot->status = r.status();
-          return;
-        }
-        slot->locator = r->locator;
-        for (auto& [line, text] : r->hits) {
-          slot->hits.emplace_back(block->first_line + line, std::move(text));
-        }
+  if (threaded) {
+    // Per-task engines share no command cache, but they all share the
+    // archive's BoxCache: a block decompressed by one worker (or a prior
+    // serial query) is warm for every other.
+    EngineOptions task_options =
+        ArchiveEngineOptions(options_.engine, box_cache_.get());
+    task_options.use_cache = false;
+    ThreadPool pool(std::min(options.threads, healthy.size()));
+    for (size_t i = 0; i < healthy.size(); ++i) {
+      // ThreadPool installs the submitting span as parent, so block spans
+      // nest under archive.parallel_query even on worker threads.
+      pool.Submit([&, i] {
+        LogGrepEngine engine(task_options);
+        run_block(engine, i);
       });
     }
     pool.Wait();
-  }
-  // Collection runs on the calling thread: quarantine mutation and sidecar
-  // persistence stay single-threaded.
-  for (size_t i = 0; i < submitted.size(); ++i) {
-    PerBlock& slot = slots[i];
-    if (!slot.status.ok()) {
-      if (DegradeOnFailure(*submitted[i], slot.status, &result.partial)) {
-        continue;
+  } else {
+    for (size_t i = 0; i < healthy.size(); ++i) {
+      run_block(engine_, i);
+      if (!slots[i].status.ok() && !options.degrade) {
+        break;  // the collection below fails the query on this block
       }
-      return slot.status;
+    }
+  }
+
+  // Collection runs on the calling thread, in block order: quarantine
+  // mutation and sidecar persistence stay single-threaded.
+  for (size_t i = 0; i < healthy.size(); ++i) {
+    const BlockInfo* block = healthy[i];
+    Slot& slot = slots[i];
+    if (!slot.status.ok()) {
+      if (!DegradeOnFailure(*block, slot.status, options.degrade,
+                            &result.partial)) {
+        return slot.status;
+      }
+      mark_failed(block);
+      continue;
     }
     ++result.blocks_queried;
-    result.hits.insert(result.hits.end(),
-                       std::make_move_iterator(slot.hits.begin()),
-                       std::make_move_iterator(slot.hits.end()));
-    result.locator.Accumulate(slot.locator);
+    if (slot.result.from_cache) {
+      ++result.blocks_from_cache;
+    }
+    for (auto& [line, text_line] : slot.result.hits) {
+      result.hits.emplace_back(block->first_line + line, std::move(text_line));
+    }
+    result.locator.Accumulate(slot.result.locator);
+    slot.result = QueryResult();  // the hits moved out; release their slots
   }
   return result;
 }

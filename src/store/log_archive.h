@@ -40,8 +40,8 @@ struct ArchiveOptions {
   // at most one distinct shingle per 4 raw bytes (the build size); a block
   // with more keeps the build-size filter and a higher rate.
   uint32_t bloom_bits_per_shingle = 10;
-  // Byte budget of the archive-owned BoxCache shared by Query, ParallelQuery
-  // workers and the embedded engine. 0 disables the shared cache.
+  // Byte budget of the archive-owned BoxCache shared by the embedded engine
+  // and every threaded query's per-task engines. 0 disables the shared cache.
   size_t box_cache_budget_bytes = 256ull << 20;
   // Optional registry for query/cache counters. Borrowed.
   MetricsRegistry* metrics = nullptr;
@@ -53,14 +53,25 @@ struct ArchiveOptions {
   // re-attempted with decorrelated-jitter backoff before a block is given up
   // on). max_attempts = 1 disables retrying.
   RetryPolicy retry;
-  // Per-query retry deadline: one Query/ParallelQuery/Explain call never
-  // spends more than this much wall time in backoff, no matter how many
-  // blocks fail. 0 means unlimited.
-  uint64_t query_deadline_ns = 0;
-  // When true (default), a block whose read or decode fails after retries is
+};
+
+// Knobs of one Query/Explain call. They live only as long as the call, so
+// nothing a request asks for outlives it or leaks into the next request.
+struct QueryOptions {
+  // When true, a block whose read or decode fails after retries is
   // quarantined and the query degrades (hits from healthy blocks plus a
-  // PartialReport). When false, the first block failure fails the query.
-  bool degraded_queries = true;
+  // PartialReport). When false the query is complete-or-error: the first
+  // block failure, or any block already quarantined, fails it.
+  bool degrade = true;
+  // Retry deadline: the call never spends more than this much wall time in
+  // backoff, no matter how many blocks fail. 0 means unlimited.
+  uint64_t deadline_ns = 0;
+  // 0 or 1: blocks run serially on the calling thread through the archive's
+  // own engine (its command cache serves repeats). More: non-pruned blocks
+  // run on a pool of this many workers, each block on a fresh engine with
+  // the command cache off and the archive's BoxCache shared (§6: queries
+  // parallelize trivially at block granularity).
+  size_t threads = 0;
 };
 
 struct BlockInfo {
@@ -184,23 +195,18 @@ class LogArchive {
   // Runs a query command over all (non-pruned) blocks. Warm blocks are
   // served from the shared BoxCache: no file read, no metadata parse, and
   // only the capsules the cache lacks are decompressed.
-  Result<ArchiveQueryResult> Query(std::string_view command);
-
-  // Same result, with non-pruned blocks queried concurrently on
-  // `num_threads` workers (each with its own engine but all sharing the
-  // archive's BoxCache; §6 notes queries parallelize trivially at block
-  // granularity).
-  Result<ArchiveQueryResult> ParallelQuery(std::string_view command,
-                                           size_t num_threads);
+  Result<ArchiveQueryResult> Query(std::string_view command,
+                                   const QueryOptions& options = {});
 
   // Query with a full decision record: `explain` receives one BlockExplain
   // per block — archive-pruned blocks carry block_pruned plus a reason
   // naming the keyword and filter that rejected them, queried blocks carry
   // the per-variable-vector / per-Capsule fate tree recorded by the engine
-  // (see src/query/explain.h). Runs serially and bypasses the command
-  // cache, so the record always describes a real execution.
+  // (see src/query/explain.h). Bypasses the command cache, so the record
+  // always describes a real execution.
   Result<ArchiveQueryResult> Explain(std::string_view command,
-                                     QueryExplain* explain);
+                                     QueryExplain* explain,
+                                     const QueryOptions& options = {});
 
   const std::vector<BlockInfo>& blocks() const { return blocks_; }
   // The shared cache (null when box_cache_budget_bytes == 0).
@@ -210,13 +216,6 @@ class LogArchive {
   const QuarantineSet& quarantine() const { return quarantine_; }
   // Re-reads quarantine.json (picks up an external repair without reopening).
   Status ReloadQuarantine();
-  // Per-query knobs the serving layer adjusts between requests: the retry
-  // deadline feeding each query's RetryBudget, and whether block failures
-  // degrade (206/PartialReport) or abort (the `?degrade=0` switch). NOT
-  // thread-safe — callers serialize with queries, as loggrepd does under
-  // its per-archive lock.
-  void set_query_deadline_ns(uint64_t ns) { options_.query_deadline_ns = ns; }
-  void set_degraded_queries(bool on) { options_.degraded_queries = on; }
   // The storage backend in effect (never null).
   StorageEnv* storage_env() const { return EnvOrDefault(options_.env); }
   const std::string& dir() const { return dir_; }
@@ -246,11 +245,17 @@ class LogArchive {
   // effort: a failing sidecar write must not fail the query on top of the
   // block failure; it is counted in "storage.quarantine.persist_failures").
   void QuarantineBlock(const BlockInfo& block, const Status& cause);
+  // The one block loop behind Query and Explain (`explain` may be null):
+  // prune, skip quarantined blocks, run the rest serially or on a pool,
+  // then degrade, quarantine and rebase hits on the calling thread.
+  Result<ArchiveQueryResult> RunQuery(std::string_view command,
+                                      const QueryOptions& options,
+                                      QueryExplain* explain);
   // Appends the failure of `block` to `report` (and quarantines it when the
   // failure is fresh). Returns false when the failure must abort the query
-  // instead (degraded queries disabled, or a query-syntax error).
+  // instead (`degrade` off, or a query-syntax error).
   bool DegradeOnFailure(const BlockInfo& block, const Status& cause,
-                        PartialReport* report);
+                        bool degrade, PartialReport* report);
   // When `block` is quarantined, appends the standing hole to `report` and
   // returns true (the caller skips the block without touching storage).
   bool SkipIfQuarantined(const BlockInfo& block, PartialReport* report) const;
@@ -275,8 +280,8 @@ class LogArchive {
   std::shared_ptr<BoxCache> box_cache_;
   LogGrepEngine engine_;
   std::vector<BlockInfo> blocks_;
-  // Mutated only on the calling thread (ParallelQuery quarantines during
-  // the serial collection phase, never from workers).
+  // Mutated only on the calling thread (threaded queries quarantine during
+  // the collection phase, never from workers).
   QuarantineSet quarantine_;
 };
 

@@ -127,7 +127,7 @@ QueryHits ReferenceHits(const std::vector<std::string>& lines,
 }
 
 // Hit-for-hit comparison; nullopt when equal, else a first-divergence
-// description. `got` is sorted by line number first (ParallelQuery merges
+// description. `got` is sorted by line number first (a threaded query merges
 // per-block slices whose concatenation is already ordered, but the oracle
 // must not depend on that).
 std::optional<std::string> DiffHits(const QueryHits& expected,
@@ -377,8 +377,8 @@ OracleReport RunDifferentialOracle(const OracleOptions& options) {
               return archive->Query(command);
             }
             case OracleMode::kParallel:
-              return archive->ParallelQuery(command,
-                                            options.parallel_threads);
+              return archive->Query(
+                  command, QueryOptions{.threads = options.parallel_threads});
             case OracleMode::kPostRecovery:
               return recovered->Query(command);
             case OracleMode::kSession: {
@@ -799,7 +799,8 @@ OracleReport RunFederationOracle(const FederationOracleOptions& options) {
     if (wants_mode(FederationMode::kParallel)) {
       ++report.checks_run;
       Result<SetQueryResult> got =
-          set->ParallelQuery(cmd.command, cmd.pred, options.parallel_threads);
+          set->Query(cmd.command, cmd.pred,
+                     QueryOptions{.threads = options.parallel_threads});
       if (!got.ok()) {
         note("fed-parallel", cmd, "query failed: " + got.status().ToString());
       } else {

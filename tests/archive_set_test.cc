@@ -147,15 +147,18 @@ TEST(SetManifestTest, RoundTripPreservesFullU64Precision) {
   shards[1].min_ts_ns = UINT64_MAX;
   shards[1].max_ts_ns = 0;
 
-  const std::string bytes = ArchiveSet::SerializeSetManifest(
-      3'600'000'000'000ull, 6, 6 * ArchiveSet::kShardLineSpan + 1, shards);
-  uint64_t span = 0, next_id = 0, next_base = 0;
+  ArchiveSet::SetManifestHeader header;
+  header.window_span_ns = 3'600'000'000'000ull;
+  header.next_shard_id = 6;
+  header.next_line_base = 6 * ArchiveSet::kShardLineSpan + 1;
+  const std::string bytes = ArchiveSet::SerializeSetManifest(header, shards);
+  ArchiveSet::SetManifestHeader got;
   Result<std::vector<ShardInfo>> parsed =
-      ArchiveSet::ParseSetManifest(bytes, &span, &next_id, &next_base);
+      ArchiveSet::ParseSetManifest(bytes, &got);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(span, 3'600'000'000'000ull);
-  EXPECT_EQ(next_id, 6u);
-  EXPECT_EQ(next_base, 6 * ArchiveSet::kShardLineSpan + 1);
+  EXPECT_EQ(got.window_span_ns, 3'600'000'000'000ull);
+  EXPECT_EQ(got.next_shard_id, 6u);
+  EXPECT_EQ(got.next_line_base, 6 * ArchiveSet::kShardLineSpan + 1);
   ASSERT_EQ(parsed->size(), 2u);
   EXPECT_EQ((*parsed)[0].tenant, "acme web");
   EXPECT_EQ((*parsed)[0].min_ts_ns, 1'750'000'000'000'000'001ull);
@@ -166,41 +169,33 @@ TEST(SetManifestTest, RoundTripPreservesFullU64Precision) {
 }
 
 TEST(SetManifestTest, HostileBytesRejectedCleanly) {
-  uint64_t span, id, base;
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest("", &span, &id, &base).ok());
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest("not json", &span, &id, &base).ok());
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest("[]", &span, &id, &base).ok());
-  EXPECT_FALSE(
-      ArchiveSet::ParseSetManifest("{\"version\":99,\"shards\":[]}", &span,
-                                   &id, &base)
-          .ok());
+  auto parse = [](std::string_view bytes) {
+    ArchiveSet::SetManifestHeader header;
+    return ArchiveSet::ParseSetManifest(bytes, &header);
+  };
+  EXPECT_FALSE(parse("").ok());
+  EXPECT_FALSE(parse("not json").ok());
+  EXPECT_FALSE(parse("[]").ok());
+  EXPECT_FALSE(parse("{\"version\":99,\"shards\":[]}").ok());
   // Shard without id.
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest(
-                   "{\"version\":1,\"shards\":[{\"dir\":\"shard-0-x\"}]}",
-                   &span, &id, &base)
-                   .ok());
+  EXPECT_FALSE(
+      parse("{\"version\":1,\"shards\":[{\"dir\":\"shard-0-x\"}]}").ok());
   // Unsafe dir name.
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest(
-                   "{\"version\":1,\"next_shard_id\":\"1\","
-                   "\"next_line_base\":\"2\",\"shards\":[{\"id\":\"0\","
-                   "\"dir\":\"../../etc\"}]}",
-                   &span, &id, &base)
+  EXPECT_FALSE(parse("{\"version\":1,\"next_shard_id\":\"1\","
+                     "\"next_line_base\":\"2\",\"shards\":[{\"id\":\"0\","
+                     "\"dir\":\"../../etc\"}]}")
                    .ok());
   // Expired but not sealed.
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest(
-                   "{\"version\":1,\"next_shard_id\":\"1\","
-                   "\"next_line_base\":\"2\",\"shards\":[{\"id\":\"0\","
-                   "\"dir\":\"shard-000000-x\",\"expired\":true}]}",
-                   &span, &id, &base)
+  EXPECT_FALSE(parse("{\"version\":1,\"next_shard_id\":\"1\","
+                     "\"next_line_base\":\"2\",\"shards\":[{\"id\":\"0\","
+                     "\"dir\":\"shard-000000-x\",\"expired\":true}]}")
                    .ok());
   // Non-increasing ids.
-  EXPECT_FALSE(ArchiveSet::ParseSetManifest(
-                   "{\"version\":1,\"next_shard_id\":\"9\","
-                   "\"next_line_base\":\"9\",\"shards\":["
-                   "{\"id\":\"3\",\"dir\":\"shard-000003-x\",\"line_base\":"
-                   "\"1\"},{\"id\":\"3\",\"dir\":\"shard-000003-y\","
-                   "\"line_base\":\"2\"}]}",
-                   &span, &id, &base)
+  EXPECT_FALSE(parse("{\"version\":1,\"next_shard_id\":\"9\","
+                     "\"next_line_base\":\"9\",\"shards\":["
+                     "{\"id\":\"3\",\"dir\":\"shard-000003-x\",\"line_base\":"
+                     "\"1\"},{\"id\":\"3\",\"dir\":\"shard-000003-y\","
+                     "\"line_base\":\"2\"}]}")
                    .ok());
 }
 
@@ -396,7 +391,7 @@ TEST(ArchiveSetTest, TimePredicateSkipsSealedOutOfRangeShards) {
 TEST(ArchiveSetTest, ParallelQueryMatchesSerial) {
   FederatedFixture fx = BuildTwoByTwo("parallel");
   auto serial = fx.set->Query("shared-token", {});
-  auto parallel = fx.set->ParallelQuery("shared-token", {}, 4);
+  auto parallel = fx.set->Query("shared-token", {}, {.threads = 4});
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(serial->hits, parallel->hits);
@@ -705,12 +700,52 @@ TEST(ArchiveSetTest, BrokenShardDegradesFederationTo206) {
   }
   EXPECT_NE(result->RenderPartial().find("unavailable"), std::string::npos);
 
-  // Strict mode: the same failure aborts instead of degrading.
-  ArchiveSetOptions strict = options;
-  strict.archive.degraded_queries = false;
-  auto strict_set = ArchiveSet::Open(root, strict);
-  ASSERT_TRUE(strict_set.ok());
-  EXPECT_FALSE((*strict_set)->Query("shared-token", {}).ok());
+  // Strict mode: the same failure aborts instead of degrading. The switch
+  // is per call, so the next default query on the same handle degrades
+  // again.
+  EXPECT_FALSE((*degraded)->Query("shared-token", {}, {.degrade = false}).ok());
+  auto again = (*degraded)->Query("shared-token", {});
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_FALSE(again->complete());
+}
+
+TEST(ArchiveSetTest, StrictQueryFailsOnQuarantinedBlockSerialOrThreaded) {
+  const std::string root = TestDir("strict-quarantined");
+  std::string block_path;
+  {
+    auto set = ArchiveSet::Create(root, SmallSetOptions());
+    ASSERT_TRUE(set.ok());
+    auto ra = (*set)->Append("a", MakeText("alpha", 3), 100);
+    auto rb = (*set)->Append("b", MakeText("bravo", 3), 150);
+    auto rc = (*set)->Append("c", MakeText("charlie", 3), 175);
+    ASSERT_TRUE(ra.ok() && rb.ok() && rc.ok());
+    block_path = root + "/" + ShardDirName(rb->shard_id, "b") + "/" +
+                 LogArchive::BlockFileName(0);
+  }
+  ASSERT_TRUE(WriteFileBytes(block_path, "garbage-bytes", nullptr).ok());
+  {
+    // A degraded query quarantines the corrupt block inside shard b.
+    auto set = ArchiveSet::Open(root, SmallSetOptions());
+    ASSERT_TRUE(set.ok());
+    auto degraded = (*set)->Query("shared-token", {});
+    ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+    EXPECT_EQ(degraded->hits.size(), 6u);
+    ASSERT_EQ(degraded->partial.failures.size(), 1u);
+  }
+  auto set = ArchiveSet::Open(root, SmallSetOptions());
+  ASSERT_TRUE(set.ok());
+  for (const size_t threads : {0, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto strict = (*set)->Query("shared-token", {},
+                                {.degrade = false, .threads = threads});
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::kUnavailable);
+    auto degraded = (*set)->Query("shared-token", {}, {.threads = threads});
+    ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+    EXPECT_EQ(degraded->hits.size(), 6u);
+    ASSERT_EQ(degraded->partial.failures.size(), 1u);
+    EXPECT_FALSE(degraded->partial.failures[0].newly_quarantined);
+  }
 }
 
 TEST(ArchiveSetTest, RepairAllReinstatesAcrossShards) {

@@ -234,7 +234,7 @@ TEST_F(ChaosTest, ZeroFaultRunsMatchTheReferenceHitForHit) {
         ExpectHitsEqual(expected, r->hits,
                         command + (run == 0 ? " [cold]" : " [warm]"));
       }
-      Result<ArchiveQueryResult> par = archive->ParallelQuery(command, 3);
+      Result<ArchiveQueryResult> par = archive->Query(command, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       EXPECT_FALSE(par->partial.partial());
       ExpectHitsEqual(expected, par->hits, command + " [parallel]");
@@ -306,7 +306,7 @@ TEST_F(ChaosTest, TransientFaultStormsConvergeToTheReferenceViaRetries) {
           << "transient faults must never degrade: " << r->partial.Render();
       ExpectHitsEqual(expected, r->hits, command + " [transient storm]");
 
-      Result<ArchiveQueryResult> par = archive->ParallelQuery(command, 3);
+      Result<ArchiveQueryResult> par = archive->Query(command, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       EXPECT_FALSE(par->partial.partial());
       ExpectHitsEqual(expected, par->hits,
@@ -382,7 +382,7 @@ TEST_F(ChaosTest, PermanentFaultsDegradeToExactlyTheHealthyBlocksThenRepair) {
         EXPECT_EQ(f.seq, kSickSeq);
         EXPECT_FALSE(f.newly_quarantined) << "hole re-discovered, not skipped";
       }
-      Result<ArchiveQueryResult> par = archive->ParallelQuery(command, 3);
+      Result<ArchiveQueryResult> par = archive->Query(command, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       ExpectHitsEqual(expected, par->hits,
                       command + " [standing hole, parallel]");
@@ -601,14 +601,15 @@ TEST_F(ChaosTest, QueryDeadlineBoundsRetryStormsAndDegradesInsteadOfHanging) {
   opts.env = &fault;
   opts.metrics = &metrics;
   opts.retry.max_attempts = 100;
-  opts.query_deadline_ns = 50'000'000;  // 50 ms of (virtual) backoff budget
   opts.box_cache_budget_bytes = 0;
 
   Result<LogArchive> archive = LogArchive::Open(dir_, opts);
   ASSERT_TRUE(archive.ok()) << archive.status().ToString();
 
   const std::string anchor = AnchorKeyword(w, 0);
-  Result<ArchiveQueryResult> r = archive->Query(anchor);
+  // 50 ms of (virtual) backoff budget for the whole call.
+  Result<ArchiveQueryResult> r =
+      archive->Query(anchor, {.deadline_ns = 50'000'000});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->partial.partial());
   EXPECT_TRUE(r->hits.empty());  // every block is sick
@@ -701,7 +702,7 @@ TEST_F(ChaosTest, FederationDegradesToHealthyShardsThenRepairsExactly) {
       Result<SetQueryResult> r = set->Query(command, {});
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       ExpectHitsEqual(expected, r->hits, command + " [federated hole]");
-      Result<SetQueryResult> par = set->ParallelQuery(command, {}, 3);
+      Result<SetQueryResult> par = set->Query(command, {}, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       ExpectHitsEqual(expected, par->hits,
                       command + " [federated hole, parallel]");

@@ -398,7 +398,7 @@ TEST(ExplainInvariantTest, HoldsOnEveryProductionDataset) {
     QueryExplain explain;
     explain.command = command;
     BlockExplain& block = explain.blocks.emplace_back();
-    auto result = engine.ExplainQuery(box, command, &block);
+    auto result = engine.Query(box, command, &block);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
     std::string detail;
@@ -439,7 +439,7 @@ TEST(ExplainInvariantTest, ExplainBypassesQueryCache) {
   ASSERT_TRUE(warm.ok());
   QueryExplain explain;
   BlockExplain& block = explain.blocks.emplace_back();
-  auto result = engine.ExplainQuery(box, command, &block);
+  auto result = engine.Query(box, command, &block);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->from_cache);
   EXPECT_GT(explain.Totals().visited, 0u);
@@ -505,6 +505,18 @@ TEST_F(ArchiveExplainTest, PrunedBlocksCarryReasonsAndInvariantHolds) {
   // The rendered tree names the pruned block and balances its ledger.
   const std::string rendered = explain.Render();
   EXPECT_NE(rendered.find("widget"), std::string::npos);
+
+  // The threaded loop fills the same per-block records.
+  QueryExplain threaded;
+  auto par = archive->Explain("widget", &threaded, {.threads = 2});
+  ASSERT_TRUE(par.ok()) << par.status().ToString();
+  EXPECT_EQ(par->hits, result->hits);
+  ASSERT_EQ(threaded.blocks.size(), explain.blocks.size());
+  for (size_t b = 0; b < explain.blocks.size(); ++b) {
+    EXPECT_EQ(threaded.blocks[b].block_pruned, explain.blocks[b].block_pruned);
+    EXPECT_EQ(threaded.blocks[b].hits, explain.blocks[b].hits);
+  }
+  EXPECT_TRUE(threaded.CheckInvariant(&detail)) << detail;
 }
 
 TEST_F(ArchiveExplainTest, ParallelQueryTraceStitchesWorkerSpans) {
@@ -521,7 +533,7 @@ TEST_F(ArchiveExplainTest, ParallelQueryTraceStitchesWorkerSpans) {
 
   Tracer::Global().Clear();
   Tracer::Global().Enable(true);
-  auto result = archive->ParallelQuery("statusfine", 2);
+  auto result = archive->Query("statusfine", {.threads = 2});
   Tracer::Global().Enable(false);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->hits.size(), 200u);

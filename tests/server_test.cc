@@ -391,6 +391,46 @@ TEST_F(ServerTest, BadRequestsMapOntoTheStatusContract) {
   }
 }
 
+TEST_F(ServerTest, NumericQueryParamsMustBeDecimalAndInRange) {
+  LoggrepDaemon daemon(BaseOptions());
+  Result<uint16_t> port = daemon.Start();
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  DaemonClient client("127.0.0.1", *port);
+  const std::string base =
+      "/query?archive=arch&q=" + UrlEncode(AnchorKeyword(block_lines_[0]));
+
+  // Not all digits ("abc" read as 0, "1e9" as 1 and "-1" wrapped to
+  // ULLONG_MAX before), empty, or past the field's range: 400 + JSON error.
+  const std::string too_big = "18446744073709551616";  // UINT64_MAX + 1
+  for (const std::string& param : {"deadline_ms", "from", "to"}) {
+    for (const std::string& value :
+         {std::string("abc"), std::string("1e9"), std::string("-1"),
+          std::string("+5"), std::string(""), too_big}) {
+      Result<ParsedResponse> r = client.Get(base + "&" + param + "=" + value);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->status, 400) << param << "=" << value << ": " << r->body;
+      Result<JsonValue> doc = ParseJson(r->body);
+      ASSERT_TRUE(doc.ok()) << r->body;
+      EXPECT_NE(doc->Get("error").AsString().find(param), std::string::npos)
+          << r->body;
+    }
+  }
+  // A deadline whose conversion to ns would wrap uint64 is out of range
+  // too; the largest one that does not wrap is accepted.
+  Result<ParsedResponse> wraps =
+      client.Get(base + "&deadline_ms=18446744073710");
+  ASSERT_TRUE(wraps.ok());
+  EXPECT_EQ(wraps->status, 400) << wraps->body;
+  for (const std::string& valid :
+       {std::string("&deadline_ms=50"), std::string("&deadline_ms=0"),
+        std::string("&deadline_ms=18446744073709"),
+        std::string("&from=0&to=18446744073709551615")}) {
+    Result<ParsedResponse> ok = client.Get(base + valid);
+    ASSERT_TRUE(ok.ok());
+    EXPECT_EQ(ok->status, 200) << valid << ": " << ok->body;
+  }
+}
+
 TEST_F(ServerTest, ResolveArchivePathAndContractHelpers) {
   EXPECT_EQ(ResolveArchivePath("/root", "a/b"), "/root/a/b");
   EXPECT_EQ(ResolveArchivePath("/root", ""), "/root");

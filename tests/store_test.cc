@@ -316,7 +316,7 @@ TEST_F(LogArchiveTest, ParallelQueryMatchesSerial) {
        {std::string("Failed password and 183.62.140.253"),
         std::string("sshd not preauth"), std::string("zzzNOSUCH")}) {
     auto serial = archive->Query(query);
-    auto parallel = archive->ParallelQuery(query, 4);
+    auto parallel = archive->Query(query, {.threads = 4});
     ASSERT_TRUE(serial.ok()) << query;
     ASSERT_TRUE(parallel.ok()) << query;
     ASSERT_EQ(serial->hits.size(), parallel->hits.size()) << query;
@@ -325,6 +325,50 @@ TEST_F(LogArchiveTest, ParallelQueryMatchesSerial) {
       EXPECT_EQ(serial->hits[i].second, parallel->hits[i].second);
     }
     EXPECT_EQ(serial->blocks_pruned, parallel->blocks_pruned);
+  }
+}
+
+TEST_F(LogArchiveTest, StrictQueryFailsOnQuarantinedBlockSerialOrThreaded) {
+  {
+    auto archive = LogArchive::Create(dir_);
+    ASSERT_TRUE(archive.ok());
+    for (const char* tag : {"alpha", "omega"}) {
+      std::string text;
+      for (int i = 0; i < 50; ++i) {
+        text += std::string("statusfine ") + tag + " request-" +
+                std::to_string(i) + "\n";
+      }
+      ASSERT_TRUE(archive->AppendBlock(text).ok());
+    }
+  }
+  std::ofstream(dir_ + "/" + LogArchive::BlockFileName(1)) << "garbage";
+  {
+    // A degraded query quarantines the corrupt block and answers from the
+    // healthy one.
+    auto archive = LogArchive::Open(dir_);
+    ASSERT_TRUE(archive.ok());
+    auto degraded = archive->Query("statusfine");
+    ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+    EXPECT_EQ(degraded->hits.size(), 50u);
+    ASSERT_EQ(degraded->partial.failures.size(), 1u);
+    EXPECT_TRUE(degraded->partial.failures[0].newly_quarantined);
+  }
+  auto archive = LogArchive::Open(dir_);
+  ASSERT_TRUE(archive.ok());
+  ASSERT_NE(archive->quarantine().Find(1), nullptr);
+  // Strict mode is complete-or-error however the blocks are scheduled.
+  for (const size_t threads : {0, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto strict =
+        archive->Query("statusfine", {.degrade = false, .threads = threads});
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::kUnavailable);
+    // Degraded mode reports the standing hole either way.
+    auto degraded = archive->Query("statusfine", {.threads = threads});
+    ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+    EXPECT_EQ(degraded->hits.size(), 50u);
+    ASSERT_EQ(degraded->partial.failures.size(), 1u);
+    EXPECT_FALSE(degraded->partial.failures[0].newly_quarantined);
   }
 }
 
@@ -481,7 +525,7 @@ TEST_F(LogArchiveTest, GlobalLineNumbersPastFourBillionDoNotWrap) {
   EXPECT_EQ(archive->blocks()[1].first_line, kFarStart);
 
   for (const bool parallel : {false, true}) {
-    auto result = parallel ? archive->ParallelQuery("kappa", 2)
+    auto result = parallel ? archive->Query("kappa", {.threads = 2})
                            : archive->Query("kappa");
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->hits.size(), 2u);
@@ -546,8 +590,8 @@ TEST_F(LogArchiveTest, WarmQueriesSkipBlockFilesEntirely) {
   ASSERT_EQ(warm->hits.size(), 2u);
   EXPECT_GT(warm->locator.cache_hits, 0u);
   EXPECT_GT(warm->locator.bytes_saved, 0u);
-  // ParallelQuery workers share the same cache and also never touch disk.
-  auto parallel = archive->ParallelQuery("sigma", 2);
+  // Threaded-query workers share the same cache and also never touch disk.
+  auto parallel = archive->Query("sigma", {.threads = 2});
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_EQ(parallel->hits.size(), 2u);
 }
@@ -565,7 +609,7 @@ TEST_F(LogArchiveTest, CacheDisabledArchiveStillAnswersCorrectly) {
     ASSERT_EQ(result->hits.size(), 1u);
     EXPECT_EQ(result->hits[0].second, "plain entry chi 1");
   }
-  auto parallel = archive->ParallelQuery("chi", 2);
+  auto parallel = archive->Query("chi", {.threads = 2});
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(parallel->hits.size(), 1u);
 }
@@ -591,7 +635,7 @@ TEST_F(LogArchiveTest, ParallelAndSerialAgreeOnDeterministicStats) {
        {std::string("Failed password"), std::string("sshd and Accepted"),
         std::string("session or preauth")}) {
     auto serial = serial_archive->Query(query);
-    auto parallel = parallel_archive->ParallelQuery(query, 4);
+    auto parallel = parallel_archive->Query(query, {.threads = 4});
     ASSERT_TRUE(serial.ok()) << query;
     ASSERT_TRUE(parallel.ok()) << query;
     ASSERT_EQ(serial->hits, parallel->hits) << query;
