@@ -1,5 +1,5 @@
-// Cold-vs-warm query economics of the shared BoxCache + command QueryCache,
-// plus the scan-kernel speedup gate.
+// Cold-vs-warm query economics of the shared BoxCache (boxes, Capsules and
+// command results), plus the scan-kernel speedup gate.
 //
 // Three workloads, per dataset (Log A..U + public logs):
 //   1. block: the dataset's query suite against one CapsuleBox, run cold
@@ -8,7 +8,8 @@
 //      block workload runs LOGGREP_BENCH_ROUNDS times (default 5) and
 //      reports cold/warm p50 across rounds.
 //   2. session: a refining-mode command chain through QuerySession
-//      (incremental refinement + memo) vs re-running every command cold.
+//      (incremental refinement + result cache) vs re-running every command
+//      cold.
 //   3. archive: a multi-block LogArchive queried cold then warm; warm
 //      queries are served from the archive's shared BoxCache without
 //      touching the block files.

@@ -59,8 +59,9 @@ int main() {
     }
   }
 
-  std::printf("\ncache: %llu hits / %llu misses over the session\n",
-              static_cast<unsigned long long>(engine.cache().hits()),
-              static_cast<unsigned long long>(engine.cache().misses()));
+  const BoxCacheStats cache = engine.box_cache()->Stats();
+  std::printf("\nresult cache: %llu hits / %llu misses over the session\n",
+              static_cast<unsigned long long>(cache.result_hits),
+              static_cast<unsigned long long>(cache.result_misses));
   return 0;
 }

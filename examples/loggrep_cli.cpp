@@ -70,6 +70,7 @@
 #include "src/capsule/capsule_box.h"
 #include "src/common/metrics.h"
 #include "src/common/metrics_export.h"
+#include "src/common/string_util.h"
 #include "src/common/trace.h"
 #include "src/core/engine.h"
 #include "src/ingest/log_ingestor.h"
@@ -730,8 +731,10 @@ int RemoteQuery(const std::string& endpoint, const std::string& archive,
     return 2;
   }
   const std::string host = endpoint.substr(0, colon);
-  const int port = std::atoi(endpoint.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) {
+  uint64_t port = 0;
+  if (!ParseDecimal(std::string_view(endpoint).substr(colon + 1), &port,
+                    65535) ||
+      port == 0) {
     std::fprintf(stderr, "bad port in %s\n", endpoint.c_str());
     return 2;
   }
@@ -834,6 +837,14 @@ int Usage() {
   return 2;
 }
 
+// Reads argv[i], when present, into `*out` as a decimal of at most `max`;
+// false (a usage error) when it is present but not one. `*out` keeps its
+// default when argv[i] is absent.
+bool OptionalDecimalArg(int argc, char** argv, int i, uint64_t max,
+                        uint64_t* out) {
+  return i >= argc || ParseDecimal(argv[i], out, max);
+}
+
 }  // namespace
 
 int main(int raw_argc, char** raw_argv) {
@@ -852,7 +863,10 @@ int main(int raw_argc, char** raw_argv) {
     } else if (arg.rfind("--access-log=", 0) == 0) {
       g_access_log_path = arg.substr(13);
     } else if (arg.rfind("--slow-ms=", 0) == 0) {
-      g_slow_ms = std::strtoull(arg.substr(10).data(), nullptr, 10);
+      // The threshold is converted to ns, so cap it where that cannot wrap.
+      if (!ParseDecimal(arg.substr(10), &g_slow_ms, UINT64_MAX / 1'000'000)) {
+        return Usage();
+      }
     } else {
       args.push_back(raw_argv[i]);
     }
@@ -902,16 +916,20 @@ int main(int raw_argc, char** raw_argv) {
     return finish(Repair(argv[2]));
   }
   if (cmd == "set-ingest" && (argc == 5 || argc == 6)) {
-    const uint64_t ts_ns =
-        argc == 6 ? std::strtoull(argv[5], nullptr, 10) : 0;
+    uint64_t ts_ns = 0;
+    if (!OptionalDecimalArg(argc, argv, 5, UINT64_MAX, &ts_ns)) {
+      return finish(Usage());
+    }
     return finish(SetIngest(argv[2], argv[3], argv[4], ts_ns));
   }
   if (cmd == "set-query" && argc >= 4 && argc <= 7) {
     const std::string tenant = argc >= 5 ? argv[4] : "-";
-    const uint64_t from_ns =
-        argc >= 6 ? std::strtoull(argv[5], nullptr, 10) : 0;
-    const uint64_t to_ns =
-        argc >= 7 ? std::strtoull(argv[6], nullptr, 10) : UINT64_MAX;
+    uint64_t from_ns = 0;
+    uint64_t to_ns = UINT64_MAX;
+    if (!OptionalDecimalArg(argc, argv, 5, UINT64_MAX, &from_ns) ||
+        !OptionalDecimalArg(argc, argv, 6, UINT64_MAX, &to_ns)) {
+      return finish(Usage());
+    }
     return finish(SetQuery(argv[2], argv[3], tenant, from_ns, to_ns));
   }
   if (cmd == "set-repair" && argc == 3) {
@@ -930,13 +948,16 @@ int main(int raw_argc, char** raw_argv) {
     return finish(Metrics(argv[2], argv[3]));
   }
   if (cmd == "serve" && argc >= 3 && argc <= 6) {
-    const int port = argc >= 4 ? std::atoi(argv[3]) : 0;
-    const size_t threads =
-        argc >= 5 ? static_cast<size_t>(std::strtoul(argv[4], nullptr, 10)) : 8;
-    const size_t max_inflight =
-        argc >= 6 ? static_cast<size_t>(std::strtoul(argv[5], nullptr, 10)) : 16;
-    if (port < 0 || port > 65535 || threads == 0) {
-      std::fprintf(stderr, "bad port/threads\n");
+    uint64_t port = 0;
+    uint64_t threads = 8;
+    uint64_t max_inflight = 16;
+    if (!OptionalDecimalArg(argc, argv, 3, 65535, &port) ||
+        !OptionalDecimalArg(argc, argv, 4, SIZE_MAX, &threads) ||
+        !OptionalDecimalArg(argc, argv, 5, SIZE_MAX, &max_inflight)) {
+      return finish(Usage());
+    }
+    if (threads == 0) {
+      std::fprintf(stderr, "threads must be > 0\n");
       return finish(2);
     }
     return finish(Serve(argv[2], static_cast<uint16_t>(port), threads,
@@ -946,10 +967,12 @@ int main(int raw_argc, char** raw_argv) {
     return finish(RemoteQuery(argv[2], argv[3], argv[4]));
   }
   if (cmd == "ingest" && argc >= 4 && argc <= 6) {
-    const size_t block_mb =
-        argc >= 5 ? static_cast<size_t>(std::strtoul(argv[4], nullptr, 10)) : 64;
-    const size_t threads =
-        argc >= 6 ? static_cast<size_t>(std::strtoul(argv[5], nullptr, 10)) : 0;
+    uint64_t block_mb = 64;
+    uint64_t threads = 0;
+    if (!OptionalDecimalArg(argc, argv, 4, SIZE_MAX >> 20, &block_mb) ||
+        !OptionalDecimalArg(argc, argv, 5, SIZE_MAX, &threads)) {
+      return finish(Usage());
+    }
     if (block_mb == 0) {
       std::fprintf(stderr, "block_mb must be > 0\n");
       return finish(2);

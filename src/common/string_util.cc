@@ -5,6 +5,25 @@
 
 namespace loggrep {
 
+bool ParseDecimal(std::string_view text, uint64_t* out, uint64_t max) {
+  if (text.empty()) {
+    return false;
+  }
+  uint64_t value = 0;
+  for (const char c : text) {
+    if (!IsAsciiDigit(c)) {
+      return false;
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (max - digit) / 10) {
+      return false;
+    }
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
 std::vector<std::string_view> SplitNonEmpty(std::string_view text,
                                             std::string_view delims) {
   std::array<bool, 256> is_delim{};

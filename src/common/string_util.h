@@ -2,6 +2,7 @@
 #ifndef SRC_COMMON_STRING_UTIL_H_
 #define SRC_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,13 @@ inline bool IsAsciiAlpha(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
 }
 inline bool IsAsciiAlnum(char c) { return IsAsciiDigit(c) || IsAsciiAlpha(c); }
+
+// Strict decimal parse: `text` must be one or more digits 0-9 (no sign,
+// space, prefix or exponent) naming a value of at most `max`. On success
+// stores the value in `*out`; on failure leaves `*out` untouched. strtoull,
+// by contrast, reads "abc" as 0, "1e3" as 1, "12abc" as 12 and wraps "-1".
+bool ParseDecimal(std::string_view text, uint64_t* out,
+                  uint64_t max = UINT64_MAX);
 
 // Splits on any character of `delims`; empty pieces are dropped.
 std::vector<std::string_view> SplitNonEmpty(std::string_view text,

@@ -15,6 +15,16 @@ inline uint64_t ElapsedNanos(const WallTimer& timer) {
   return timer.ElapsedNanos();
 }
 
+// Decompression and stamp checks are timed where they run and accounted to
+// their own stages; the scan and reconstruct stages that trigger them
+// subtract what they triggered, so the stages never count a nanosecond twice.
+uint64_t ChargedNanos(const LocatorStats& stats) {
+  return stats.decompress_nanos + stats.stamp_filter_nanos;
+}
+uint64_t ExclusiveNanos(uint64_t wall, uint64_t charged) {
+  return wall > charged ? wall - charged : 0;
+}
+
 // Boolean evaluation state: one RowSet per group plus one for raw outliers.
 struct Evaluation {
   std::vector<RowSet> groups;
@@ -97,24 +107,30 @@ Evaluation EvaluateExpr(BoxQuerier& querier, const QueryExpr& expr) {
 }  // namespace
 
 LogGrepEngine::LogGrepEngine(EngineOptions options)
-    : options_(options), cache_(options.query_cache_budget_bytes) {
+    : options_(options), cache_(options.box_cache) {
   if (options_.codec == nullptr) {
     options_.codec = &GetXzCodec();
   }
-  if (options_.use_box_cache && options_.box_cache == nullptr) {
+  if (cache_ == nullptr && (options_.use_box_cache || options_.use_cache)) {
     BoxCacheOptions copts;
     copts.byte_budget = options_.box_cache_budget_bytes;
     copts.metrics = options_.metrics;
-    owned_box_cache_ = std::make_unique<BoxCache>(copts);
+    owned_cache_ = std::make_unique<BoxCache>(copts);
+    cache_ = owned_cache_.get();
   }
 }
 
-BoxCache* LogGrepEngine::box_cache() const {
-  if (!options_.use_box_cache) {
-    return nullptr;
+void LogGrepEngine::CacheResult(const BoxKey& key, std::string_view command,
+                                const QueryHits& hits) {
+  if (options_.use_cache) {
+    cache_->InsertResult(key, command, CachedQuery{hits, LocatorStats{}});
   }
-  return options_.box_cache != nullptr ? options_.box_cache
-                                       : owned_box_cache_.get();
+}
+
+void LogGrepEngine::ClearCache() {
+  if (cache_ != nullptr) {
+    cache_->ClearResults();
+  }
 }
 
 std::string LogGrepEngine::CompressBlock(std::string_view text) const {
@@ -174,18 +190,17 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
                                                  std::string_view command,
                                                  BlockExplain* explain) {
   const TraceSpan query_span("engine.query", "query");
-  // Cache entries are per (box identity, command): the same command against
+  // Results are cached per (box identity, command): the same command against
   // another block must not serve stale hits, and the identity is a dual hash
   // plus size so a single 64-bit collision cannot alias two blocks.
-  std::string command_key = key.ToString();
-  command_key += '|';
-  command_key += command;
-  // Explained executions bypass the command cache: the decision tree must
+  // Explained executions bypass the result cache: the decision tree must
   // describe what this run actually did.
-  if (options_.use_cache && explain == nullptr) {
-    if (auto cached = cache_.Lookup(command_key); cached.has_value()) {
+  const bool cache_result = options_.use_cache && explain == nullptr;
+  if (cache_result) {
+    if (std::shared_ptr<const CachedQuery> cached =
+            cache_->LookupResult(key, command)) {
       QueryResult result;
-      result.hits = std::move(cached->hits);
+      result.hits = cached->hits;
       result.locator = cached->locator;  // what the original execution cost
       result.from_cache = true;
       if (options_.metrics != nullptr) {
@@ -204,7 +219,7 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
   // the loader — typically a file read — and the metadata parse), otherwise
   // a local zero-copy open.
   LocatorStats open_stats;
-  BoxCache* shared = box_cache();
+  BoxCache* shared = options_.use_box_cache ? cache_ : nullptr;
   std::shared_ptr<const OpenedBox> opened;  // pins cache entry if used
   std::string local_bytes;                  // owns bytes on the uncached path
   std::optional<CapsuleBox> local_box;
@@ -265,11 +280,13 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
 
   const WallTimer scan_timer;
   uint64_t scan_nanos = 0;
+  uint64_t charged_by_scan = 0;
   Evaluation ev;
   {
     const TraceSpan scan_span("engine.scan", "query");
     ev = EvaluateExpr(querier, **expr);
     scan_nanos = ElapsedNanos(scan_timer);
+    charged_by_scan = ChargedNanos(querier.stats());
   }
   if (!querier.status().ok()) {
     return querier.status();
@@ -302,15 +319,15 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
   // ordered; this is the cross-group merge of §3).
   std::sort(result.hits.begin(), result.hits.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  const uint64_t reconstruct_nanos = ElapsedNanos(reconstruct_timer);
 
   result.locator = querier.stats();
+  result.locator.scan_nanos = ExclusiveNanos(scan_nanos, charged_by_scan);
+  // Reconstruction fetches the Capsules of matched rows the scan never
+  // needed; their decompression is already in decompress_nanos.
+  result.locator.reconstruct_nanos = ExclusiveNanos(
+      reconstruct_nanos, ChargedNanos(result.locator) - charged_by_scan);
   result.locator.Accumulate(open_stats);
-  // The scan stage is the boolean evaluation minus the decompression and
-  // stamp checks it triggered (those are accounted to their own stages).
-  const uint64_t charged = result.locator.decompress_nanos +
-                           result.locator.stamp_filter_nanos;
-  result.locator.scan_nanos = scan_nanos > charged ? scan_nanos - charged : 0;
-  result.locator.reconstruct_nanos = ElapsedNanos(reconstruct_timer);
 
   if (explain != nullptr) {
     explain->hits = result.hits.size();
@@ -334,8 +351,9 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
         ->Record(result.locator.reconstruct_nanos);
   }
 
-  if (options_.use_cache && explain == nullptr) {
-    cache_.Insert(command_key, CachedQuery{result.hits, result.locator});
+  if (cache_result) {
+    cache_->InsertResult(key, command,
+                         CachedQuery{result.hits, result.locator});
   }
   return result;
 }

@@ -3,14 +3,17 @@
 // Compression: Parser (static patterns) -> Extractor (runtime patterns) ->
 // Assembler (Capsules + stamps) -> Packer (CapsuleBox). Query: Locator
 // (pattern + stamp filtering, fixed-length matching) -> Reconstructor, with
-// two caches in front:
-//   - a command-level QueryCache (§3) memoizing whole results per
-//     (box identity, command), and
-//   - a shared BoxCache holding opened boxes and decompressed Capsules so
-//     warm queries skip file reads, metadata parses and decompression.
+// one BoxCache in front holding three kinds of entry under one byte budget:
+// whole results per (box identity, command) — the paper's query cache (§3)
+// — plus opened boxes and decompressed Capsules, so warm queries skip file
+// reads, metadata parses and decompression.
 // Box identity is a BoxKey (two independent 64-bit hashes + size, or an
 // archive-assigned sequence key), so a hash collision between two different
 // blocks can no longer serve the wrong block's hits.
+//
+// Query and QueryBox may be called from many threads at once: everything
+// that outlives one call lives in the (thread-safe) BoxCache, so one engine
+// serves every worker of a threaded archive query.
 //
 // EngineOptions exposes one switch per technique so the §6.3 ablation
 // versions ("w/o real", "w/o nomi", "w/o stamp", "w/o fixed", "w/o cache")
@@ -38,19 +41,17 @@ struct EngineOptions {
   bool use_nominal = true;  // runtime patterns in nominal variable vectors
   bool use_stamps = true;   // Capsule-stamp filtering during queries
   bool use_fixed = true;    // fixed-length padding + Boyer-Moore matching
-  bool use_cache = true;    // command-level query cache
+  bool use_cache = true;    // query result cache (§3)
   bool static_only = false; // LogGrep-SP: static patterns only
 
-  // Shared box/capsule cache. When `box_cache` is null and `use_box_cache`
-  // is set, the engine owns a private cache sized by
-  // `box_cache_budget_bytes`; pass an external cache to share it across
-  // engines (LogArchive does this for its threaded-query workers).
+  // The cache behind both switches: results when `use_cache` is set,
+  // opened boxes and decompressed Capsules when `use_box_cache` is set.
+  // When `box_cache` is null and either switch is on, the engine owns a
+  // private cache sized by `box_cache_budget_bytes`; pass an external cache
+  // to share it across engines.
   bool use_box_cache = true;
   size_t box_cache_budget_bytes = 256ull << 20;
   BoxCache* box_cache = nullptr;  // borrowed; must outlive the engine
-
-  // Byte budget of the command-level QueryCache LRU.
-  size_t query_cache_budget_bytes = QueryCache::kDefaultByteBudget;
 
   // Optional registry for query-side counters ("query.*",
   // "query.box_cache.*"). Borrowed; must outlive the engine.
@@ -84,10 +85,10 @@ class LogGrepEngine {
   //
   // `explain` (optional) attaches a recorder that fills it with the
   // per-variable-vector, per-Capsule decision tree (see
-  // src/query/explain.h). An explained execution bypasses the command-level
-  // QueryCache in both directions: the record must describe a real
-  // execution, and a synthetic cache-bypass run must not overwrite the
-  // cache's cost snapshots.
+  // src/query/explain.h). An explained execution bypasses the result cache
+  // in both directions: the record must describe a real execution, and a
+  // synthetic cache-bypass run must not overwrite the cache's cost
+  // snapshots.
   Result<QueryResult> Query(std::string_view box_bytes,
                             std::string_view command,
                             BlockExplain* explain = nullptr);
@@ -100,13 +101,18 @@ class LogGrepEngine {
                                BlockExplain* explain = nullptr);
 
   const EngineOptions& options() const { return options_; }
-  const QueryCache& cache() const { return cache_; }
-  // The effective shared cache (owned or borrowed); null when disabled.
-  BoxCache* box_cache() const;
-  // Clears the command-level cache (sessions call this on Reset so a reset
-  // can never serve pre-reset hits). The box cache keeps its entries: they
+  // The effective cache (owned or borrowed); null when both `use_cache` and
+  // `use_box_cache` are off.
+  BoxCache* box_cache() const { return cache_; }
+  // Stores `hits` as the result of `command` against `key` (a no-op with
+  // `use_cache` off). For answers derived without running the query —
+  // QuerySession's refinements — which must equal what QueryBox returns.
+  void CacheResult(const BoxKey& key, std::string_view command,
+                   const QueryHits& hits);
+  // Drops every cached result (sessions call this on Reset so a reset can
+  // never serve pre-reset hits). Opened boxes and Capsules stay warm: they
   // are identity-keyed bytes, not query answers.
-  void ClearCache() { cache_.Clear(); }
+  void ClearCache();
 
  private:
   Result<QueryResult> QueryInternal(const BoxKey& key,
@@ -116,8 +122,8 @@ class LogGrepEngine {
                                     BlockExplain* explain);
 
   EngineOptions options_;
-  QueryCache cache_;
-  std::unique_ptr<BoxCache> owned_box_cache_;
+  std::unique_ptr<BoxCache> owned_cache_;
+  BoxCache* cache_ = nullptr;  // owned_cache_ or options_.box_cache
 };
 
 }  // namespace loggrep

@@ -28,65 +28,58 @@ std::string_view RefinementSuffix(std::string_view previous,
   return rest.substr(5);
 }
 
+// Parses an appended clause that is a pure AND chain, the only kind under
+// which the incremental path is sound ("a AND x AND y" refines "a", but
+// "a OR x" does not); null for anything else.
+std::unique_ptr<QueryExpr> ParsePureAndChain(std::string_view suffix) {
+  if (suffix.empty()) {
+    return nullptr;
+  }
+  Result<std::unique_ptr<QueryExpr>> parsed = ParseQuery(suffix);
+  if (!parsed.ok()) {
+    return nullptr;
+  }
+  for (const QueryExpr* node = parsed->get(); node != nullptr;
+       node = node->left.get()) {
+    if (node->kind == QueryExpr::Kind::kTerm) {
+      break;
+    }
+    if (node->kind != QueryExpr::Kind::kAnd) {
+      return nullptr;
+    }
+  }
+  return std::move(*parsed);
+}
+
 }  // namespace
 
 Result<SessionQueryResult> QuerySession::Query(std::string_view command) {
   SessionQueryResult out;
-  const std::string command_key(command);
-  if (auto memoized = memo_.Lookup(command_key); memoized.has_value()) {
-    out.hits = std::move(memoized->hits);
-    out.from_cache = true;
-    last_command_ = command_key;
-    last_hits_ = out.hits;
-    has_last_ = true;
-    return out;
-  }
-  const std::string_view suffix =
-      has_last_ ? RefinementSuffix(last_command_, command) : std::string_view();
-  if (!suffix.empty()) {
-    // Parse just the appended clause; it must itself be a pure AND chain for
-    // the incremental path to be sound ("a AND x AND y" refines "a", but
-    // "a OR x" does not).
-    Result<std::unique_ptr<QueryExpr>> appended = ParseQuery(suffix);
-    bool pure_and = appended.ok();
-    if (pure_and) {
-      for (const QueryExpr* node = appended->get(); node != nullptr;
-           node = node->left.get()) {
-        if (node->kind != QueryExpr::Kind::kTerm &&
-            node->kind != QueryExpr::Kind::kAnd) {
-          pure_and = false;
-          break;
-        }
-        if (node->kind == QueryExpr::Kind::kTerm) {
-          break;
-        }
+  const std::unique_ptr<QueryExpr> appended =
+      has_last_ ? ParsePureAndChain(RefinementSuffix(last_command_, command))
+                : nullptr;
+  if (appended != nullptr) {
+    out.refined_incrementally = true;
+    LineMatcher matcher;
+    for (const auto& [line, text] : last_hits_) {
+      if (matcher.MatchesQuery(text, *appended)) {
+        out.hits.emplace_back(line, text);
       }
     }
-    if (pure_and) {
-      out.refined_incrementally = true;
-      LineMatcher matcher;
-      for (const auto& [line, text] : last_hits_) {
-        if (matcher.MatchesQuery(text, **appended)) {
-          out.hits.emplace_back(line, text);
-        }
-      }
-      last_command_ = command_key;
-      last_hits_ = out.hits;
-      memo_.Insert(command_key, out.hits);
-      return out;
+    engine_->CacheResult(key_, command, out.hits);
+  } else {
+    Result<QueryResult> full = engine_->QueryBox(
+        key_, [this] { return Result<std::string>(std::string(box_)); },
+        command);
+    if (!full.ok()) {
+      return full.status();
     }
+    out.hits = std::move(full->hits);
+    out.from_cache = full->from_cache;
   }
-
-  Result<QueryResult> full = engine_->Query(box_, command);
-  if (!full.ok()) {
-    return full.status();
-  }
-  out.hits = std::move(full->hits);
-  out.from_cache = full->from_cache;
-  last_command_ = command_key;
+  last_command_.assign(command.data(), command.size());
   last_hits_ = out.hits;
   has_last_ = true;
-  memo_.Insert(command_key, out.hits);
   return out;
 }
 
@@ -94,15 +87,13 @@ void QuerySession::Reset() {
   has_last_ = false;
   last_command_.clear();
   last_hits_.clear();
-  memo_.Clear();
-  // The memo fronts the engine's command cache; a reset must flush both or a
-  // post-reset query could be answered with pre-reset hits.
   engine_->ClearCache();
 }
 
 void QuerySession::Rebind(std::string_view box_bytes) {
   Reset();
   box_ = box_bytes;
+  key_ = BoxKey::FromBytes(box_bytes);
 }
 
 }  // namespace loggrep

@@ -138,7 +138,7 @@ void LogIngestor::WorkerCompress(uint64_t seq,
 
   timer.Reset();
   // One engine per block: CompressBlock shares nothing across blocks, so
-  // workers stay lock-free (mirrors the threaded query's per-task engines).
+  // workers stay lock-free.
   {
     const TraceSpan span("ingest.compress", "ingest", "seq", seq);
     LogGrepEngine engine(options_.archive.engine);

@@ -6,6 +6,7 @@
 #include "src/capsule/capsule.h"  // SplitDelimitedBlob
 #include "src/common/hash.h"
 #include "src/common/trace.h"
+#include "src/query/query_cache.h"  // CachedQuery
 
 namespace loggrep {
 namespace {
@@ -15,6 +16,10 @@ namespace {
 // split payload (16 bytes per value) is intentionally approximated by this
 // constant plus the blob bytes it views; DESIGN.md documents the tradeoff.
 constexpr size_t kEntryOverhead = 128;
+
+// Charge per result hit on top of its text: the (line, string) pair, the
+// string header and heap slack.
+constexpr size_t kPerHit = 48;
 
 // Second, independent FNV seed for the dual-hash identity.
 constexpr uint64_t kAltSeed = 0x84222325CBF29CE4ULL;
@@ -83,7 +88,10 @@ const std::vector<std::string_view>& CachedCapsule::splits() const {
 size_t BoxCache::EntryKeyHash::operator()(const EntryKey& k) const {
   uint64_t h = Mix64(k.box.h1 ^ Mix64(k.box.h2));
   h = Mix64(h ^ k.box.size);
-  h = Mix64(h ^ k.capsule);
+  h = Mix64(h ^ k.slot);
+  if (!k.command.empty()) {
+    h = Mix64(h ^ Fnv1a64(k.command));
+  }
   return static_cast<size_t>(h);
 }
 
@@ -112,11 +120,10 @@ BoxCache::Shard& BoxCache::ShardFor(const EntryKey& key) {
 }
 
 void BoxCache::EvictOverBudgetLocked(Shard& shard) {
-  // Never evict the freshest entry: one oversized capsule must still be
-  // usable for the query that loaded it.
+  // Never evict the freshest entry: one oversized capsule (or result) must
+  // still be usable for the query that loaded it.
   while (shard.bytes > per_shard_budget_ && shard.lru.size() > 1) {
-    const EntryKey victim = shard.lru.back();
-    auto it = shard.map.find(victim);
+    auto it = shard.map.find(shard.lru.back());
     shard.bytes -= it->second.charge;
     shard.map.erase(it);
     shard.lru.pop_back();
@@ -127,52 +134,69 @@ void BoxCache::EvictOverBudgetLocked(Shard& shard) {
   }
 }
 
-BoxCache::Entry BoxCache::InsertOrAdopt(const EntryKey& key, Entry entry,
-                                        bool* adopted) {
+std::optional<BoxCache::Entry> BoxCache::Find(const EntryKey& key) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.map.find(key);
+  if (it == shard.map.end()) {
+    return std::nullopt;
+  }
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+  return it->second;
+}
+
+BoxCache::Entry BoxCache::InsertOrAdopt(const EntryKey& key, Entry entry) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
     // Raced with another loader: adopt the resident entry, discard ours.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-    *adopted = true;
     return it->second;
   }
   shard.lru.push_front(key);
   entry.lru_it = shard.lru.begin();
   shard.bytes += entry.charge;
-  auto inserted = shard.map.emplace(key, entry).first;
+  auto inserted = shard.map.emplace(key, std::move(entry)).first;
   EvictOverBudgetLocked(shard);
   if (m_bytes_hwm_ != nullptr) {
     m_bytes_hwm_->UpdateMax(shard.bytes);
   }
-  *adopted = false;
   return inserted->second;
+}
+
+void BoxCache::CountHit(std::atomic<uint64_t>& hits, uint64_t bytes_saved,
+                        bool* was_hit) {
+  hits.fetch_add(1, std::memory_order_relaxed);
+  bytes_saved_.fetch_add(bytes_saved, std::memory_order_relaxed);
+  if (m_hits_ != nullptr) {
+    m_hits_->Increment();
+  }
+  if (m_bytes_saved_ != nullptr) {
+    m_bytes_saved_->Add(bytes_saved);
+  }
+  if (was_hit != nullptr) {
+    *was_hit = true;
+  }
+}
+
+void BoxCache::CountMiss(std::atomic<uint64_t>& misses, bool* was_hit) {
+  misses.fetch_add(1, std::memory_order_relaxed);
+  if (m_misses_ != nullptr) {
+    m_misses_->Increment();
+  }
+  if (was_hit != nullptr) {
+    *was_hit = false;
+  }
 }
 
 Result<std::shared_ptr<const OpenedBox>> BoxCache::GetOrOpenBox(
     const BoxKey& key, const std::function<Result<std::string>()>& load,
     bool* was_hit) {
-  const EntryKey ekey{key, UINT64_MAX};
-  {
-    Shard& shard = ShardFor(ekey);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(ekey);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      box_hits_.fetch_add(1, std::memory_order_relaxed);
-      bytes_saved_.fetch_add(it->second.charge, std::memory_order_relaxed);
-      if (m_hits_ != nullptr) {
-        m_hits_->Increment();
-      }
-      if (m_bytes_saved_ != nullptr) {
-        m_bytes_saved_->Add(it->second.charge);
-      }
-      if (was_hit != nullptr) {
-        *was_hit = true;
-      }
-      return it->second.box;
-    }
+  const EntryKey ekey{key, kBoxSlot, {}};
+  if (std::optional<Entry> hit = Find(ekey)) {
+    CountHit(box_hits_, hit->charge, was_hit);
+    return hit->box;
   }
   // Miss: load and open outside the lock.
   const TraceSpan span("box_cache.load_box", "query");
@@ -188,42 +212,18 @@ Result<std::shared_ptr<const OpenedBox>> BoxCache::GetOrOpenBox(
   Entry entry;
   entry.box = *opened;
   entry.charge = entry.box->bytes().size() + kEntryOverhead;
-  bool adopted = false;
-  Entry resident = InsertOrAdopt(ekey, std::move(entry), &adopted);
-  box_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (m_misses_ != nullptr) {
-    m_misses_->Increment();
-  }
-  if (was_hit != nullptr) {
-    *was_hit = false;
-  }
+  const Entry resident = InsertOrAdopt(ekey, std::move(entry));
+  CountMiss(box_misses_, was_hit);
   return resident.box;
 }
 
 Result<std::shared_ptr<const CachedCapsule>> BoxCache::GetOrLoadCapsule(
     const BoxKey& key, uint32_t capsule_id,
     const std::function<Result<std::string>()>& load, bool* was_hit) {
-  const EntryKey ekey{key, capsule_id};
-  {
-    Shard& shard = ShardFor(ekey);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(ekey);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      capsule_hits_.fetch_add(1, std::memory_order_relaxed);
-      bytes_saved_.fetch_add(it->second.capsule->blob().size(),
-                             std::memory_order_relaxed);
-      if (m_hits_ != nullptr) {
-        m_hits_->Increment();
-      }
-      if (m_bytes_saved_ != nullptr) {
-        m_bytes_saved_->Add(it->second.capsule->blob().size());
-      }
-      if (was_hit != nullptr) {
-        *was_hit = true;
-      }
-      return it->second.capsule;
-    }
+  const EntryKey ekey{key, capsule_id, {}};
+  if (std::optional<Entry> hit = Find(ekey)) {
+    CountHit(capsule_hits_, hit->capsule->blob().size(), was_hit);
+    return hit->capsule;
   }
   const TraceSpan span("box_cache.load_capsule", "query", "capsule",
                        capsule_id);
@@ -234,16 +234,32 @@ Result<std::shared_ptr<const CachedCapsule>> BoxCache::GetOrLoadCapsule(
   Entry entry;
   entry.capsule = std::make_shared<const CachedCapsule>(std::move(*blob));
   entry.charge = entry.capsule->blob().size() + kEntryOverhead;
-  bool adopted = false;
-  Entry resident = InsertOrAdopt(ekey, std::move(entry), &adopted);
-  capsule_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (m_misses_ != nullptr) {
-    m_misses_->Increment();
-  }
-  if (was_hit != nullptr) {
-    *was_hit = false;
-  }
+  const Entry resident = InsertOrAdopt(ekey, std::move(entry));
+  CountMiss(capsule_misses_, was_hit);
   return resident.capsule;
+}
+
+std::shared_ptr<const CachedQuery> BoxCache::LookupResult(
+    const BoxKey& key, std::string_view command) {
+  std::optional<Entry> hit =
+      Find(EntryKey{key, kResultSlot, std::string(command)});
+  (hit.has_value() ? result_hits_ : result_misses_)
+      .fetch_add(1, std::memory_order_relaxed);
+  return hit.has_value() ? hit->result : nullptr;
+}
+
+void BoxCache::InsertResult(const BoxKey& key, std::string_view command,
+                            CachedQuery value) {
+  Entry entry;
+  // The key's command text is held twice (map key and LRU node).
+  entry.charge = kEntryOverhead + 2 * command.size();
+  for (const auto& [line, text] : value.hits) {
+    (void)line;
+    entry.charge += text.size() + kPerHit;
+  }
+  entry.result = std::make_shared<const CachedQuery>(std::move(value));
+  InsertOrAdopt(EntryKey{key, kResultSlot, std::string(command)},
+                std::move(entry));
 }
 
 void BoxCache::Clear() {
@@ -255,12 +271,30 @@ void BoxCache::Clear() {
   }
 }
 
+void BoxCache::ClearResults() {
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
+      if (it->slot != kResultSlot) {
+        ++it;
+        continue;
+      }
+      auto entry = shard->map.find(*it);
+      shard->bytes -= entry->second.charge;
+      shard->map.erase(entry);
+      it = shard->lru.erase(it);
+    }
+  }
+}
+
 BoxCacheStats BoxCache::Stats() const {
   BoxCacheStats stats;
   stats.box_hits = box_hits_.load(std::memory_order_relaxed);
   stats.box_misses = box_misses_.load(std::memory_order_relaxed);
   stats.capsule_hits = capsule_hits_.load(std::memory_order_relaxed);
   stats.capsule_misses = capsule_misses_.load(std::memory_order_relaxed);
+  stats.result_hits = result_hits_.load(std::memory_order_relaxed);
+  stats.result_misses = result_misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.bytes_saved = bytes_saved_.load(std::memory_order_relaxed);
   for (const std::unique_ptr<Shard>& shard : shards_) {

@@ -8,10 +8,13 @@
 //
 //   (a) opened CapsuleBoxes — the raw box file bytes plus the parsed
 //       metadata view — keyed by a BoxKey (block identity), so a repeated or
-//       refined query skips both the file read and the metadata parse, and
+//       refined query skips both the file read and the metadata parse,
 //   (b) decompressed Capsule blobs (plus their lazily computed delimited
 //       splits) keyed by (BoxKey, capsule id), so matching and reconstruction
-//       never decompress the same Capsule twice.
+//       never decompress the same Capsule twice, and
+//   (c) whole query results keyed by (BoxKey, command text): the paper's
+//       query cache (§3), which replays an identical command without
+//       touching the box at all.
 //
 // Entries are handed out as shared_ptr<const ...>: a querier pins what it
 // uses, so eviction can never invalidate live string_views. The cache is
@@ -26,7 +29,8 @@
 // Observability: hit/miss/eviction counters and bytes-saved are kept as
 // atomics and mirrored into an optional MetricsRegistry
 // ("query.box_cache.*" counters) so the ingest-side registry of PR 1 covers
-// the query side too.
+// the query side too. Result hits and misses are counted apart from box and
+// capsule ones (the engine reports them as "query.command_cache_hits").
 #ifndef SRC_QUERY_BOX_CACHE_H_
 #define SRC_QUERY_BOX_CACHE_H_
 
@@ -36,6 +40,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -46,6 +51,8 @@
 #include "src/common/result.h"
 
 namespace loggrep {
+
+struct CachedQuery;  // src/query/query_cache.h
 
 // Collision-resistant identity of one CapsuleBox. Content-derived keys carry
 // two independent 64-bit hashes *and* the byte size (a 64-bit FNV alone can
@@ -112,9 +119,10 @@ class CachedCapsule {
 };
 
 struct BoxCacheOptions {
-  // Total decompressed/opened bytes the cache may hold, split evenly across
-  // shards. One oversized entry is still admitted (it becomes the shard's
-  // only resident) so a huge capsule cannot starve the query touching it.
+  // Total opened-box, decompressed-capsule and result bytes the cache may
+  // hold, split evenly across shards. One oversized entry is still admitted
+  // (it becomes the shard's only resident) so a huge capsule cannot starve
+  // the query touching it.
   size_t byte_budget = 256ull << 20;
   size_t shards = 8;
   // Optional registry for "query.box_cache.*" counters.
@@ -126,7 +134,9 @@ struct BoxCacheStats {
   uint64_t box_misses = 0;
   uint64_t capsule_hits = 0;
   uint64_t capsule_misses = 0;
-  uint64_t evictions = 0;
+  uint64_t result_hits = 0;
+  uint64_t result_misses = 0;
+  uint64_t evictions = 0;      // entries of every kind
   uint64_t bytes_saved = 0;    // decompressed/opened bytes served warm
   uint64_t bytes_in_use = 0;   // current charged bytes across shards
   uint64_t entries = 0;
@@ -152,29 +162,49 @@ class BoxCache {
       const std::function<Result<std::string>()>& load,
       bool* was_hit = nullptr);
 
+  // Returns the result memoized for `command` against `key` (promoted to
+  // most recently used), or null.
+  std::shared_ptr<const CachedQuery> LookupResult(const BoxKey& key,
+                                                  std::string_view command);
+
+  // Memoizes `value` as the result of `command` against `key`. A result is
+  // a pure function of (box, command), so when the key is already resident
+  // (a racing worker stored it first) the resident entry is kept.
+  void InsertResult(const BoxKey& key, std::string_view command,
+                    CachedQuery value);
+
   // Drops every entry (pinned shared_ptrs stay valid).
   void Clear();
+  // Drops only result entries: opened boxes and capsules stay warm.
+  void ClearResults();
 
   BoxCacheStats Stats() const;
   size_t byte_budget() const { return options_.byte_budget; }
 
  private:
+  // `slot` is a capsule id or one of these sentinels (capsule ids are
+  // 32-bit, so neither can collide with one).
+  static constexpr uint64_t kBoxSlot = UINT64_MAX;
+  static constexpr uint64_t kResultSlot = UINT64_MAX - 1;
+
   struct EntryKey {
     BoxKey box;
-    // kNoCapsule-style sentinel: UINT64_MAX marks the opened-box entry;
-    // anything else is a capsule id.
-    uint64_t capsule = UINT64_MAX;
+    uint64_t slot = kBoxSlot;
+    std::string command;  // result entries only
 
     bool operator==(const EntryKey& other) const {
-      return capsule == other.capsule && box == other.box;
+      return slot == other.slot && box == other.box &&
+             command == other.command;
     }
   };
   struct EntryKeyHash {
     size_t operator()(const EntryKey& k) const;
   };
+  // Exactly one payload is set, matching the key's slot.
   struct Entry {
     std::shared_ptr<const OpenedBox> box;
     std::shared_ptr<const CachedCapsule> capsule;
+    std::shared_ptr<const CachedQuery> result;
     size_t charge = 0;
     std::list<EntryKey>::iterator lru_it;
   };
@@ -186,9 +216,16 @@ class BoxCache {
   };
 
   Shard& ShardFor(const EntryKey& key);
-  // Inserts `entry` under `key` unless present; returns the resident entry
-  // (the existing one on a race). Caller holds no lock.
-  Entry InsertOrAdopt(const EntryKey& key, Entry entry, bool* adopted);
+  // The lookup/insert pair every entry kind goes through. Find returns the
+  // resident entry for `key`, promoted to most recently used. InsertOrAdopt
+  // inserts `entry` unless `key` is resident and returns the resident entry
+  // (the existing one when a racing loader won). Caller holds no lock.
+  std::optional<Entry> Find(const EntryKey& key);
+  Entry InsertOrAdopt(const EntryKey& key, Entry entry);
+  // Count one box/capsule lookup in the stats and the registry.
+  void CountHit(std::atomic<uint64_t>& hits, uint64_t bytes_saved,
+                bool* was_hit);
+  void CountMiss(std::atomic<uint64_t>& misses, bool* was_hit);
   void EvictOverBudgetLocked(Shard& shard);
 
   BoxCacheOptions options_;
@@ -199,6 +236,8 @@ class BoxCache {
   std::atomic<uint64_t> box_misses_{0};
   std::atomic<uint64_t> capsule_hits_{0};
   std::atomic<uint64_t> capsule_misses_{0};
+  std::atomic<uint64_t> result_hits_{0};
+  std::atomic<uint64_t> result_misses_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> bytes_saved_{0};
 

@@ -1,23 +1,11 @@
-// Query Cache (§3): memoizes past query results keyed by the command text
-// (prefixed, at the engine layer, with a collision-resistant box identity).
-// Especially effective in refining mode, where an engineer grows a command
-// incrementally in one session (§6.3, "w/o cache").
-//
-// The cache is a byte-budgeted LRU: every entry is charged its key plus the
-// rendered hit lines, and inserting past the budget evicts from the cold
-// end. Each entry also snapshots the LocatorStats of the query that produced
-// it, so a cache hit can report what the original execution cost instead of
-// a zeroed locator. Insert is assign-or-insert: re-inserting a key replaces
-// the stale value. Not thread-safe; each engine (and each session memo) owns
-// its own instance.
+// Query result types of the paper's query cache (§3). The cache itself is
+// the result entry kind of BoxCache (src/query/box_cache.h), keyed by
+// (box identity, command text).
 #ifndef SRC_QUERY_QUERY_CACHE_H_
 #define SRC_QUERY_QUERY_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,51 +19,11 @@ namespace loggrep {
 using QueryHits = std::vector<std::pair<uint64_t, std::string>>;
 
 // A memoized query result: the hits plus the cost of the execution that
-// produced them.
+// produced them, so a cache hit reports what the original execution cost
+// instead of a zeroed locator.
 struct CachedQuery {
   QueryHits hits;
   LocatorStats locator;
-};
-
-class QueryCache {
- public:
-  static constexpr size_t kDefaultByteBudget = 64ull << 20;
-
-  explicit QueryCache(size_t byte_budget = kDefaultByteBudget)
-      : byte_budget_(byte_budget) {}
-
-  // Returns a copy of the entry and promotes it to most-recently-used.
-  std::optional<CachedQuery> Lookup(const std::string& command);
-
-  // Assign-or-insert (an existing key is replaced, never silently kept),
-  // then evicts LRU entries until back under the byte budget.
-  void Insert(const std::string& command, CachedQuery value);
-  void Insert(const std::string& command, const QueryHits& hits) {
-    Insert(command, CachedQuery{hits, LocatorStats{}});
-  }
-
-  void Clear();
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t evictions() const { return evictions_; }
-  size_t size() const { return index_.size(); }
-  size_t bytes_in_use() const { return bytes_; }
-  size_t byte_budget() const { return byte_budget_; }
-
- private:
-  using LruList = std::list<std::pair<std::string, CachedQuery>>;
-
-  static size_t Charge(const std::string& command, const CachedQuery& value);
-  void EvictOverBudget();
-
-  size_t byte_budget_;
-  size_t bytes_ = 0;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<std::string, LruList::iterator> index_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
 };
 
 }  // namespace loggrep

@@ -9,10 +9,10 @@
 //
 // Concurrency model: a request's degrade and deadline switches travel with
 // the call as QueryOptions, so no request state is parked on a shared
-// handle. The per-handle mutex exists only because the read path itself is
-// not thread-safe: a query still mutates the embedded engine's command
-// cache and the quarantine set, both unsynchronized by design (single-
-// process library users own their threading). Queries therefore serialize
+// handle. The archive's engine and its BoxCache (opened boxes, Capsules
+// and query results) are thread-safe; the per-handle mutex now guards only
+// what the read path still mutates unsynchronized: the quarantine set and,
+// for a federated handle, the set's state. Queries therefore serialize
 // *per archive*, while different archives run fully in parallel and the
 // BoxCache inside each archive stays warm across all callers. Admission
 // control (how many queries may be in flight process-wide) lives in the
@@ -180,7 +180,7 @@ class ArchiveService {
   // service sniffs set_manifest.json at open time. Exactly one of the two
   // pointers is set.
   struct Handle {
-    std::mutex mu;  // serializes queries on this archive / set
+    std::mutex mu;  // guards the quarantine set and set state
     std::unique_ptr<LogArchive> archive;
     std::unique_ptr<ArchiveSet> set;
   };

@@ -15,6 +15,7 @@
 #include "src/common/build_info.h"
 #include "src/common/json.h"
 #include "src/common/metrics_export.h"
+#include "src/common/string_util.h"
 #include "src/common/trace.h"
 
 namespace loggrep {
@@ -88,30 +89,11 @@ bool ParamIsFalse(const HttpRequest& request, const std::string& name) {
 
 // Reads the optional decimal parameter `name` into `*out` (left untouched
 // when absent). False when the value is not all decimal digits or exceeds
-// `max` — strtoull would read "abc" as 0, "1e9" as 1 and wrap "-1".
+// `max`.
 bool ReadDecimalParam(const HttpRequest& request, const std::string& name,
                       uint64_t max, uint64_t* out) {
   const auto it = request.params.find(name);
-  if (it == request.params.end()) {
-    return true;
-  }
-  const std::string& text = it->second;
-  if (text.empty()) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (value > (max - digit) / 10) {
-      return false;
-    }
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
+  return it == request.params.end() || ParseDecimal(it->second, out, max);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/common/string_util.h"
+
 namespace loggrep {
 
 namespace {
@@ -279,15 +281,11 @@ void HttpRequestParser::BeginBody() {
     state_ = State::kDone;
     return;
   }
-  if (length.size() > 12 ||
-      !std::all_of(length.begin(), length.end(), [](char c) {
-        return std::isdigit(static_cast<unsigned char>(c));
-      })) {
+  uint64_t wanted = 0;
+  if (!ParseDecimal(length, &wanted)) {
     Fail(400, "malformed content-length");
     return;
   }
-  const unsigned long long wanted = std::strtoull(
-      std::string(length).c_str(), nullptr, 10);
   if (wanted > limits_.max_body_bytes) {
     Fail(413, "body too large");
     return;
@@ -398,13 +396,11 @@ bool ParseResponseBytes(std::string_view data, ParsedResponse* out,
     }
     rest.remove_prefix(nl + 2);
   }
-  size_t body_len = 0;
+  uint64_t body_len = 0;
   const auto it = out->headers.find("content-length");
-  if (it != out->headers.end()) {
-    body_len = static_cast<size_t>(std::strtoull(it->second.c_str(), nullptr, 10));
-  }
-  if (body_len > limits.max_body_bytes) {
-    return false;
+  if (it != out->headers.end() &&
+      !ParseDecimal(it->second, &body_len, limits.max_body_bytes)) {
+    return false;  // malformed or oversized
   }
   const size_t body_start = head_end + 4;
   if (data.size() < body_start + body_len) {

@@ -34,8 +34,9 @@ inline uint64_t ElapsedNanos(const WallTimer& timer) {
   return timer.ElapsedNanos();
 }
 
-// Engine options for an archive-embedded engine: wire in the shared cache
-// (the engine must not own a second, private one).
+// Engine options for the archive's engine: wire in the archive's cache (the
+// engine must not own a second one). Without one the engine keeps a private
+// cache for results only, so repeated commands are still answered warm.
 EngineOptions ArchiveEngineOptions(EngineOptions base, BoxCache* cache) {
   base.box_cache = cache;
   base.use_box_cache = cache != nullptr;
@@ -793,7 +794,7 @@ Result<ArchiveQueryResult> LogArchive::RunQuery(std::string_view command,
   // each block (Expired() is a lock-free read of the env clock, so workers
   // share it).
   const RetryBudget budget(storage_env(), options.deadline_ns);
-  auto run_block = [&](LogGrepEngine& engine, size_t i) {
+  auto run_block = [&](size_t i) {
     const BlockInfo* block = healthy[i];
     const TraceSpan block_span("archive.query_block", "query", "seq",
                                block->seq);
@@ -802,8 +803,8 @@ Result<ArchiveQueryResult> LogArchive::RunQuery(std::string_view command,
     auto loader = [this, block, &budget]() -> Result<std::string> {
       return LoadBlockBytes(block->seq, &budget);
     };
-    Result<QueryResult> r = engine.QueryBox(KeyForBlock(block->seq), loader,
-                                            command, explain_of(block));
+    Result<QueryResult> r = engine_.QueryBox(KeyForBlock(block->seq), loader,
+                                             command, explain_of(block));
     if (r.ok()) {
       slots[i].result = std::move(*r);
     } else {
@@ -811,25 +812,19 @@ Result<ArchiveQueryResult> LogArchive::RunQuery(std::string_view command,
     }
   };
   if (threaded) {
-    // Per-task engines share no command cache, but they all share the
-    // archive's BoxCache: a block decompressed by one worker (or a prior
-    // serial query) is warm for every other.
-    EngineOptions task_options =
-        ArchiveEngineOptions(options_.engine, box_cache_.get());
-    task_options.use_cache = false;
+    // Every worker calls the archive's one engine: its caches are shared
+    // and thread-safe, so a block decompressed or answered by one worker
+    // (or by a prior serial query) is warm for every other.
     ThreadPool pool(std::min(options.threads, healthy.size()));
     for (size_t i = 0; i < healthy.size(); ++i) {
       // ThreadPool installs the submitting span as parent, so block spans
       // nest under archive.parallel_query even on worker threads.
-      pool.Submit([&, i] {
-        LogGrepEngine engine(task_options);
-        run_block(engine, i);
-      });
+      pool.Submit([&, i] { run_block(i); });
     }
     pool.Wait();
   } else {
     for (size_t i = 0; i < healthy.size(); ++i) {
-      run_block(engine_, i);
+      run_block(i);
       if (!slots[i].status.ok() && !options.degrade) {
         break;  // the collection below fails the query on this block
       }

@@ -40,8 +40,10 @@ struct ArchiveOptions {
   // at most one distinct shingle per 4 raw bytes (the build size); a block
   // with more keeps the build-size filter and a higher rate.
   uint32_t bloom_bits_per_shingle = 10;
-  // Byte budget of the archive-owned BoxCache shared by the embedded engine
-  // and every threaded query's per-task engines. 0 disables the shared cache.
+  // Byte budget of the archive-owned BoxCache behind the archive's engine:
+  // opened boxes, decompressed Capsules and query results, shared by every
+  // worker of a threaded query. 0 disables box and Capsule caching; results
+  // then live in an engine-owned cache of `engine.box_cache_budget_bytes`.
   size_t box_cache_budget_bytes = 256ull << 20;
   // Optional registry for query/cache counters. Borrowed.
   MetricsRegistry* metrics = nullptr;
@@ -66,11 +68,10 @@ struct QueryOptions {
   // Retry deadline: the call never spends more than this much wall time in
   // backoff, no matter how many blocks fail. 0 means unlimited.
   uint64_t deadline_ns = 0;
-  // 0 or 1: blocks run serially on the calling thread through the archive's
-  // own engine (its command cache serves repeats). More: non-pruned blocks
-  // run on a pool of this many workers, each block on a fresh engine with
-  // the command cache off and the archive's BoxCache shared (§6: queries
-  // parallelize trivially at block granularity).
+  // 0 or 1: blocks run serially on the calling thread. More: non-pruned
+  // blocks run on a pool of this many workers (§6: queries parallelize
+  // trivially at block granularity). Either way every block goes through
+  // the archive's one engine, whose result cache serves repeated commands.
   size_t threads = 0;
 };
 

@@ -34,8 +34,8 @@ namespace loggrep {
 // The five execution modes the oracle drives for every command.
 enum class OracleMode {
   kColdEngine,    // freshly opened archive, empty caches
-  kWarmCache,     // same archive object, second execution (BoxCache +
-                  // QueryCache warm)
+  kWarmCache,     // same archive object, second execution (BoxCache
+                  // boxes, Capsules and results warm)
   kSession,       // QuerySession per block, exercising incremental
                   // refinement for conjunctive commands
   kParallel,      // LogArchive::Query with QueryOptions::threads > 1

@@ -9,6 +9,7 @@
 
 #include "src/common/metrics.h"
 #include "src/core/engine.h"
+#include "src/query/query_cache.h"
 
 namespace loggrep {
 namespace {
@@ -231,6 +232,123 @@ TEST(BoxCacheTest, PinnedEntriesSurviveEvictionAndClear) {
   EXPECT_EQ(view[1023], 'p');
 }
 
+// ---- result entries (the query cache, §3) ----------------------------------
+
+QueryHits OneHit(uint64_t line, std::string text) {
+  return QueryHits{{line, std::move(text)}};
+}
+
+TEST(BoxCacheResultTest, MissThenHitAndClearResultsKeepsBoxes) {
+  BoxCache cache;
+  const BoxKey key = BoxKey::FromBytes(SampleBoxBytes());
+  EXPECT_EQ(cache.LookupResult(key, "q"), nullptr);
+  cache.InsertResult(key, "q", CachedQuery{OneHit(3, "line three"), {}});
+  const auto hit = cache.LookupResult(key, "q");
+  ASSERT_NE(hit, nullptr);
+  ASSERT_EQ(hit->hits.size(), 1u);
+  EXPECT_EQ(hit->hits[0].first, 3u);
+  // Another command, or the same command against another box, is a miss.
+  EXPECT_EQ(cache.LookupResult(key, "q2"), nullptr);
+  EXPECT_EQ(cache.LookupResult(BoxKey::FromBytes("other"), "q"), nullptr);
+
+  BoxCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.result_hits, 1u);
+  EXPECT_EQ(stats.result_misses, 3u);
+  // Result lookups are not box/capsule lookups.
+  EXPECT_EQ(stats.box_hits + stats.box_misses + stats.capsule_hits +
+                stats.capsule_misses,
+            0u);
+
+  // ClearResults drops results only: an opened box stays warm.
+  const std::string bytes = SampleBoxBytes();
+  ASSERT_TRUE(cache
+                  .GetOrOpenBox(key, [&]() -> Result<std::string> {
+                    return bytes;
+                  })
+                  .ok());
+  cache.ClearResults();
+  EXPECT_EQ(cache.LookupResult(key, "q"), nullptr);
+  bool was_hit = false;
+  auto never_loads = []() -> Result<std::string> { return std::string(); };
+  ASSERT_TRUE(cache.GetOrOpenBox(key, never_loads, &was_hit).ok());
+  EXPECT_TRUE(was_hit);
+  stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+// A result is a pure function of (box, command), so a second insert under a
+// resident key (a racing worker) keeps the resident entry.
+TEST(BoxCacheResultTest, InsertUnderResidentKeyKeepsResident) {
+  BoxCache cache;
+  const BoxKey key = BoxKey::ForSequence(BoxKey::NextNamespaceId(), 0);
+  cache.InsertResult(key, "q", CachedQuery{OneHit(1, "first"), {}});
+  const auto pinned = cache.LookupResult(key, "q");
+  cache.InsertResult(key, "q", CachedQuery{OneHit(1, "first"), {}});
+  const auto again = cache.LookupResult(key, "q");
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(again.get(), pinned.get());
+  EXPECT_EQ(cache.Stats().entries, 1u);
+}
+
+TEST(BoxCacheResultTest, ByteBudgetEvictsLeastRecentlyUsed) {
+  // Budget sized to hold roughly two entries; inserting a third must evict
+  // the least recently used one.
+  BoxCacheOptions options;
+  options.byte_budget = 2000;
+  options.shards = 1;  // deterministic LRU order
+  BoxCache cache(options);
+  const BoxKey key = BoxKey::ForSequence(BoxKey::NextNamespaceId(), 0);
+  const std::string big(512, 'x');
+  cache.InsertResult(key, "a", CachedQuery{OneHit(1, big), {}});
+  cache.InsertResult(key, "b", CachedQuery{OneHit(2, big), {}});
+  ASSERT_NE(cache.LookupResult(key, "a"), nullptr);  // "b" is LRU now
+  cache.InsertResult(key, "c", CachedQuery{OneHit(3, big), {}});
+  const BoxCacheStats stats = cache.Stats();
+  EXPECT_GE(stats.evictions, 1u);
+  EXPECT_LE(stats.bytes_in_use, options.byte_budget);
+  EXPECT_EQ(cache.LookupResult(key, "b"), nullptr);
+  EXPECT_NE(cache.LookupResult(key, "a"), nullptr);
+  EXPECT_NE(cache.LookupResult(key, "c"), nullptr);
+}
+
+TEST(BoxCacheResultTest, KeepsFreshestEntryEvenWhenOverBudget) {
+  // A result larger than the whole budget is still usable until the next
+  // insert (never evict the freshest entry).
+  BoxCacheOptions options;
+  options.byte_budget = 64;
+  options.shards = 1;
+  BoxCache cache(options);
+  const BoxKey key = BoxKey::ForSequence(BoxKey::NextNamespaceId(), 0);
+  cache.InsertResult(key, "huge",
+                     CachedQuery{OneHit(1, std::string(4096, 'y')), {}});
+  EXPECT_NE(cache.LookupResult(key, "huge"), nullptr);
+  EXPECT_EQ(cache.Stats().entries, 1u);
+}
+
+TEST(BoxCacheResultTest, StoresLocatorSnapshot) {
+  BoxCache cache;
+  const BoxKey key = BoxKey::ForSequence(BoxKey::NextNamespaceId(), 0);
+  CachedQuery entry;
+  entry.hits = OneHit(7, "hit");
+  entry.locator.capsules_decompressed = 5;
+  entry.locator.bytes_decompressed = 1234;
+  cache.InsertResult(key, "q", entry);
+  const auto hit = cache.LookupResult(key, "q");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->locator.capsules_decompressed, 5u);
+  EXPECT_EQ(hit->locator.bytes_decompressed, 1234u);
+}
+
+TEST(BoxCacheResultTest, SixtyFourBitLineNumbersSurviveRoundTrip) {
+  BoxCache cache;
+  const BoxKey key = BoxKey::ForSequence(BoxKey::NextNamespaceId(), 0);
+  const uint64_t line = (5ull << 32) + 17;  // > UINT32_MAX
+  cache.InsertResult(key, "q", CachedQuery{OneHit(line, "far line"), {}});
+  const auto hit = cache.LookupResult(key, "q");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->hits[0].first, line);
+}
+
 // Shared across runs of this test binary; Reset() isolates each use without
 // throwing away the registered cells (handles stay valid, per metrics.h).
 MetricsRegistry& SharedMetrics() {
@@ -251,6 +369,12 @@ TEST(BoxCacheTest, MetricsRegistryMirrorsCounters) {
   EXPECT_EQ(metrics.GetOrCreate("query.box_cache.misses")->value(), 1u);
   EXPECT_EQ(metrics.GetOrCreate("query.box_cache.hits")->value(), 1u);
   EXPECT_GE(metrics.GetOrCreate("query.box_cache.bytes_saved")->value(), 100u);
+  // Result entries are counted apart: they leave the box counters alone.
+  EXPECT_EQ(cache.LookupResult(key, "q"), nullptr);
+  cache.InsertResult(key, "q", CachedQuery{OneHit(1, "r"), {}});
+  EXPECT_NE(cache.LookupResult(key, "q"), nullptr);
+  EXPECT_EQ(metrics.GetOrCreate("query.box_cache.misses")->value(), 1u);
+  EXPECT_EQ(metrics.GetOrCreate("query.box_cache.hits")->value(), 1u);
 }
 
 TEST(BoxCacheTest, ConcurrentMixedLoadsStayConsistent) {

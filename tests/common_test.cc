@@ -111,6 +111,28 @@ TEST(StringUtilTest, LengthVariance) {
 
 // ---- bytes / varint ----------------------------------------------------------
 
+TEST(StringUtilTest, ParseDecimalAcceptsOnlyDigitsInRange) {
+  uint64_t value = 7;
+  EXPECT_TRUE(ParseDecimal("0", &value));
+  EXPECT_EQ(value, 0u);
+  EXPECT_TRUE(ParseDecimal("00042", &value));
+  EXPECT_EQ(value, 42u);
+  EXPECT_TRUE(ParseDecimal("18446744073709551615", &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  EXPECT_TRUE(ParseDecimal("100", &value, /*max=*/100));
+  EXPECT_EQ(value, 100u);
+
+  value = 7;
+  for (const char* bad : {"abc", "1e3", "12abc", "-1", "", "+5", " 5", "5 ",
+                          "0x10", "18446744073709551616",  // UINT64_MAX + 1
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(ParseDecimal(bad, &value)) << "\"" << bad << "\"";
+    EXPECT_EQ(value, 7u) << "\"" << bad << "\"";  // untouched on failure
+  }
+  EXPECT_FALSE(ParseDecimal("101", &value, /*max=*/100));
+  EXPECT_EQ(value, 7u);
+}
+
 TEST(BytesTest, FixedWidthRoundTrip) {
   ByteWriter w;
   w.PutU8(0xAB);

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/core/engine.h"
 #include "src/parser/template_miner.h"
+#include "src/store/log_archive.h"
 #include "src/workload/datasets.h"
 #include "src/workload/loggen.h"
 
@@ -179,7 +184,8 @@ TEST(EngineTest, CacheDisabledNeverServesFromCache) {
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(r1->from_cache);
   EXPECT_FALSE(r2->from_cache);
-  EXPECT_EQ(engine.cache().size(), 0u);
+  const BoxCacheStats stats = engine.box_cache()->Stats();
+  EXPECT_EQ(stats.result_hits + stats.result_misses, 0u);
 }
 
 TEST(EngineTest, QueryCacheIsPerBox) {
@@ -381,6 +387,107 @@ TEST_P(EngineConfigTest, LosslessOnLogA) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, EngineConfigTest, ::testing::Range(0, 8));
+
+// ---- one engine, many threads -----------------------------------------------
+
+const std::vector<std::string>& SharedEngineCommands() {
+  static const std::vector<std::string> commands = {
+      "ERROR", "ERROR and aborted", "state:REQ_ST_CLOSED", "INFO or WARN",
+      "not ERROR"};
+  return commands;
+}
+
+// Many threads query one engine at once (what a threaded archive query
+// does): every answer equals the serial one hit for hit, and a thread's
+// repeat of a command is served from the shared result cache.
+TEST(SharedEngineTest, ConcurrentQueriesMatchSerialAndRepeatsHitCache) {
+  const std::string text =
+      LogGenerator(*FindDataset("Log A")).Generate(24 * 1024);
+  LogGrepEngine shared;
+  const std::string box = shared.CompressBlock(text);
+  EngineOptions cold_options;
+  cold_options.use_cache = false;
+  cold_options.use_box_cache = false;
+  LogGrepEngine cold(cold_options);
+  const std::vector<std::string>& commands = SharedEngineCommands();
+  std::vector<QueryHits> expected;
+  for (const std::string& command : commands) {
+    auto r = cold.Query(box, command);
+    ASSERT_TRUE(r.ok()) << command;
+    expected.push_back(std::move(r->hits));
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<int> uncached_repeats(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < commands.size(); ++k) {
+        // Each thread starts at a different command so first runs race.
+        const size_t c = (k + static_cast<size_t>(t)) % commands.size();
+        for (int rep = 0; rep < 2; ++rep) {
+          auto r = shared.Query(box, commands[c]);
+          if (!r.ok() || r->hits != expected[c]) {
+            ++mismatches[t];
+          } else if (rep == 1 && !r->from_cache) {
+            ++uncached_repeats[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    EXPECT_EQ(uncached_repeats[t], 0) << "thread " << t;
+  }
+  const BoxCacheStats stats = shared.box_cache()->Stats();
+  EXPECT_EQ(stats.result_hits + stats.result_misses,
+            static_cast<uint64_t>(kThreads) * commands.size() * 2);
+  EXPECT_GE(stats.result_hits,
+            static_cast<uint64_t>(kThreads) * commands.size());
+}
+
+// A threaded archive query runs every block through the archive's one
+// engine, so it agrees with a serial query on a separately opened archive
+// and a repeated threaded query is answered from the result cache.
+TEST(SharedEngineTest, ThreadedArchiveRepeatsComeFromCache) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("loggrep_engine_shared_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    auto archive = LogArchive::Create(dir);
+    ASSERT_TRUE(archive.ok());
+    DatasetSpec spec = *FindDataset("Log A");
+    for (int b = 0; b < 4; ++b) {
+      spec.seed += 13;
+      ASSERT_TRUE(
+          archive->AppendBlock(LogGenerator(spec).Generate(12 * 1024)).ok());
+    }
+  }
+  auto threaded = LogArchive::Open(dir);
+  auto serial = LogArchive::Open(dir);
+  ASSERT_TRUE(threaded.ok());
+  ASSERT_TRUE(serial.ok());
+  for (const std::string& command : SharedEngineCommands()) {
+    auto truth = serial->Query(command);
+    ASSERT_TRUE(truth.ok()) << command;
+    for (int rep = 0; rep < 2; ++rep) {
+      auto got = threaded->Query(command, {.threads = 4});
+      ASSERT_TRUE(got.ok()) << command;
+      EXPECT_EQ(got->hits, truth->hits) << command;
+      EXPECT_EQ(got->blocks_queried, truth->blocks_queried) << command;
+      EXPECT_EQ(got->blocks_from_cache, rep == 0 ? 0u : got->blocks_queried)
+          << command << " rep " << rep;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
 
 }  // namespace
 }  // namespace loggrep

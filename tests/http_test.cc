@@ -124,8 +124,17 @@ TEST(HttpParser, MalformedHeaders) {
            Case{"GET / HTTP/1.1\r\nA: 1\r\n  folded\r\n\r\n", 400},
            Case{"GET / HTTP/1.1\r\nBad Name: x\r\n\r\n", 400},
            Case{"POST / HTTP/1.1\r\nContent-Length: huge\r\n\r\n", 400},
+           Case{"POST / HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400},
+           Case{"POST / HTTP/1.1\r\nContent-Length: 1e3\r\n\r\n", 400},
+           Case{"POST / HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n", 400},
+           Case{"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400},
+           // Past UINT64_MAX: not a representable length, so malformed.
+           Case{"POST / HTTP/1.1\r\nContent-Length: 18446744073709551616"
+                "\r\n\r\n",
+                400},
+           // Decimal lengths past the body limit are oversize, however long.
            Case{"POST / HTTP/1.1\r\nContent-Length: 9999999999999\r\n\r\n",
-                400},  // >12 digits: rejected before overflow
+                413},
            Case{"POST / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n", 413},
            Case{"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 501},
        }) {
@@ -245,6 +254,27 @@ TEST(Http, ParseResponseNeedsWholeBody) {
                          &parsed, &consumed));
   EXPECT_TRUE(ParseResponseBytes(wire, &parsed, &consumed));
   EXPECT_EQ(parsed.body, "0123456789");
+}
+
+// A client must not read a malformed Content-Length as some other length
+// (strtoull read "abc" as 0 and "12abc" as 12).
+TEST(Http, ParseResponseRejectsNonDecimalContentLength) {
+  for (const char* bad : {"abc", "1e3", "12abc", "-1", "",
+                          "18446744073709551616"}) {
+    const std::string wire =
+        std::string("HTTP/1.1 200 OK\r\nContent-Length: ") + bad +
+        "\r\n\r\n0123456789ab";
+    ParsedResponse parsed;
+    size_t consumed = 0;
+    EXPECT_FALSE(ParseResponseBytes(wire, &parsed, &consumed))
+        << "\"" << bad << "\"";
+  }
+  const std::string good =
+      "HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n0123456789ab";
+  ParsedResponse parsed;
+  size_t consumed = 0;
+  ASSERT_TRUE(ParseResponseBytes(good, &parsed, &consumed));
+  EXPECT_EQ(parsed.body, "0123456789ab");
 }
 
 // --- JSON ------------------------------------------------------------------

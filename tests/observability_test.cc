@@ -18,6 +18,7 @@
 #include "src/common/metrics.h"
 #include "src/common/metrics_export.h"
 #include "src/common/thread_pool.h"
+#include "src/common/timer.h"
 #include "src/common/trace.h"
 #include "src/core/engine.h"
 #include "src/query/explain.h"
@@ -445,6 +446,53 @@ TEST(ExplainInvariantTest, ExplainBypassesQueryCache) {
   EXPECT_GT(explain.Totals().visited, 0u);
   std::string detail;
   EXPECT_TRUE(explain.CheckInvariant(&detail)) << detail;
+}
+
+// ---- exclusive stage time --------------------------------------------------
+
+// Stages are disjoint slices of one query: decompression triggered by the
+// scan or by reconstruction is charged to the decompress stage only, so the
+// stage sum can never exceed the wall time around the call. "INFO" matches
+// thousands of rows, so reconstruction decompresses many Capsules that the
+// scan never needed.
+TEST(StageTimeTest, StagesPartitionTheWallTimeOfAColdQuery) {
+  const std::string text =
+      LogGenerator(*FindDataset("Log A")).Generate(256 << 10);
+  const std::string command = "INFO";
+  EngineOptions cold_options;
+  cold_options.use_cache = false;
+  const std::string box = LogGrepEngine(cold_options).CompressBlock(text);
+
+  // Precondition: the same scan followed by an empty render ("and" with a
+  // keyword no entry has evaluates INFO first, in full) decompresses fewer
+  // Capsules, so reconstruction decompresses Capsules the scan never
+  // touched.
+  auto scan_only =
+      LogGrepEngine(cold_options).Query(box, command + " and zzzNOSUCH");
+  auto full = LogGrepEngine(cold_options).Query(box, command);
+  ASSERT_TRUE(scan_only.ok());
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(scan_only->hits.empty());
+  ASSERT_GT(full->locator.capsules_decompressed,
+            scan_only->locator.capsules_decompressed);
+
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    LogGrepEngine engine(cold_options);  // cold box and Capsule cache
+    const WallTimer wall;
+    auto result = engine.Query(box, command);
+    const uint64_t wall_nanos = wall.ElapsedNanos();
+    ASSERT_TRUE(result.ok());
+    ASSERT_FALSE(result->hits.empty());
+    const LocatorStats& s = result->locator;
+    ASSERT_GT(s.decompress_nanos, 0u);
+    EXPECT_LE(s.open_nanos + s.stamp_filter_nanos + s.decompress_nanos +
+                  s.scan_nanos + s.reconstruct_nanos,
+              wall_nanos)
+        << "open " << s.open_nanos << " stamp " << s.stamp_filter_nanos
+        << " decompress " << s.decompress_nanos << " scan " << s.scan_nanos
+        << " reconstruct " << s.reconstruct_nanos;
+  }
 }
 
 class ArchiveExplainTest : public ::testing::Test {

@@ -8,7 +8,6 @@
 #include "src/query/fixed_matcher.h"
 #include "src/query/line_match.h"
 #include "src/query/pattern_match.h"
-#include "src/query/query_cache.h"
 #include "src/query/query_parser.h"
 #include "src/query/wildcard.h"
 
@@ -502,82 +501,6 @@ TEST(LineMatchTest, KeywordWithinTokenOnly) {
   // "low disk" are two tokens; the keyword cannot span them.
   EXPECT_FALSE(LineMatchesQuery("warn low disk", **expr));
   EXPECT_TRUE(LineMatchesQuery("warn lowdisk", **expr));
-}
-
-// ---- query cache ------------------------------------------------------------------------
-
-TEST(QueryCacheTest, HitMissAndClear) {
-  QueryCache cache;
-  EXPECT_FALSE(cache.Lookup("q").has_value());
-  EXPECT_EQ(cache.misses(), 1u);
-  cache.Insert("q", QueryHits{{3, "line three"}});
-  auto hit = cache.Lookup("q");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(cache.hits(), 1u);
-  ASSERT_EQ(hit->hits.size(), 1u);
-  EXPECT_EQ(hit->hits[0].first, 3u);
-  cache.Clear();
-  EXPECT_FALSE(cache.Lookup("q").has_value());
-}
-
-TEST(QueryCacheTest, InsertReplacesExistingEntry) {
-  // Re-inserting under the same command must replace the stale value, not
-  // keep the first one (the old emplace-based Insert silently dropped the
-  // update).
-  QueryCache cache;
-  cache.Insert("q", QueryHits{{1, "old"}});
-  cache.Insert("q", QueryHits{{2, "new"}});
-  auto hit = cache.Lookup("q");
-  ASSERT_TRUE(hit.has_value());
-  ASSERT_EQ(hit->hits.size(), 1u);
-  EXPECT_EQ(hit->hits[0].first, 2u);
-  EXPECT_EQ(hit->hits[0].second, "new");
-}
-
-TEST(QueryCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
-  // Budget sized to hold roughly two entries; inserting a third must evict
-  // the least recently used one.
-  const std::string big(512, 'x');
-  QueryCache cache(/*byte_budget=*/2000);
-  cache.Insert("a", QueryHits{{1, big}});
-  cache.Insert("b", QueryHits{{2, big}});
-  ASSERT_TRUE(cache.Lookup("a").has_value());  // promote "a"; "b" is LRU now
-  cache.Insert("c", QueryHits{{3, big}});
-  EXPECT_GE(cache.evictions(), 1u);
-  EXPECT_FALSE(cache.Lookup("b").has_value());
-  EXPECT_TRUE(cache.Lookup("c").has_value());
-  EXPECT_LE(cache.bytes_in_use(), cache.byte_budget());
-}
-
-TEST(QueryCacheTest, KeepsFreshestEntryEvenWhenOverBudget) {
-  // An entry larger than the whole budget is still usable until the next
-  // insert (never evict the freshest entry).
-  QueryCache cache(/*byte_budget=*/64);
-  cache.Insert("huge", QueryHits{{1, std::string(4096, 'y')}});
-  EXPECT_TRUE(cache.Lookup("huge").has_value());
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(QueryCacheTest, StoresLocatorSnapshot) {
-  QueryCache cache;
-  CachedQuery entry;
-  entry.hits = {{7, "hit"}};
-  entry.locator.capsules_decompressed = 5;
-  entry.locator.bytes_decompressed = 1234;
-  cache.Insert("q", entry);
-  auto hit = cache.Lookup("q");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->locator.capsules_decompressed, 5u);
-  EXPECT_EQ(hit->locator.bytes_decompressed, 1234u);
-}
-
-TEST(QueryCacheTest, SixtyFourBitLineNumbersSurviveRoundTrip) {
-  QueryCache cache;
-  const uint64_t line = (5ull << 32) + 17;  // > UINT32_MAX
-  cache.Insert("q", QueryHits{{line, "far line"}});
-  auto hit = cache.Lookup("q");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->hits[0].first, line);
 }
 
 }  // namespace

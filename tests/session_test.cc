@@ -188,8 +188,8 @@ TEST_F(QuerySessionTest, RevisitingAnyEarlierCommandIsMemoized) {
   auto refined = session.Query("ERROR and aborted");
   ASSERT_TRUE(refined.ok());
   ASSERT_TRUE(refined->refined_incrementally);
-  // Revisit the refined command: served from the session memo even though
-  // the engine's own cache never executed it.
+  // Revisit the refined command: served from the engine's result cache,
+  // where the session stored the refinement the engine never executed.
   auto revisit = session.Query("ERROR and aborted");
   ASSERT_TRUE(revisit.ok());
   EXPECT_TRUE(revisit->from_cache);
@@ -198,6 +198,31 @@ TEST_F(QuerySessionTest, RevisitingAnyEarlierCommandIsMemoized) {
   auto deeper = session.Query("ERROR and aborted and code:");
   ASSERT_TRUE(deeper.ok());
   EXPECT_TRUE(deeper->refined_incrementally);
+}
+
+// A refined result lands in the engine's result cache, so a plain engine
+// query of the refined command is answered from it — and must equal what a
+// cold engine computes for that command.
+TEST_F(QuerySessionTest, RefinedResultServesPlainEngineQuery) {
+  QuerySession session(&engine_, box_);
+  ASSERT_TRUE(session.Query("ERROR").ok());
+  const std::string refined_command = "ERROR and state:REQ_ST_CLOSED";
+  auto refined = session.Query(refined_command);
+  ASSERT_TRUE(refined.ok());
+  ASSERT_TRUE(refined->refined_incrementally);
+
+  auto plain = engine_.Query(box_, refined_command);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_TRUE(plain->from_cache);
+
+  EngineOptions cold_options;
+  cold_options.use_cache = false;
+  cold_options.use_box_cache = false;
+  LogGrepEngine cold(cold_options);
+  auto truth = cold.Query(box_, refined_command);
+  ASSERT_TRUE(truth.ok());
+  EXPECT_FALSE(truth->hits.empty());
+  EXPECT_EQ(plain->hits, truth->hits);
 }
 
 TEST_F(QuerySessionTest, ResetForgetsRefinementState) {
@@ -209,17 +234,24 @@ TEST_F(QuerySessionTest, ResetForgetsRefinementState) {
   EXPECT_FALSE(after->refined_incrementally);
 }
 
-TEST_F(QuerySessionTest, ResetAlsoFlushesEngineCommandCache) {
-  // The session memo fronts the engine's command cache; Reset must flush
-  // both, or a post-reset query could be served pre-reset hits.
+TEST_F(QuerySessionTest, ResetFlushesResultsButKeepsBoxesWarm) {
+  // A reset must never serve pre-reset hits; the opened box and Capsules
+  // are identity-keyed bytes, not answers, and stay warm.
   QuerySession session(&engine_, box_);
   ASSERT_TRUE(session.Query("ERROR").ok());
-  EXPECT_GT(engine_.cache().size(), 0u);
+  auto repeat = session.Query("ERROR");
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat->from_cache);
+  const BoxCacheStats before = engine_.box_cache()->Stats();
   session.Reset();
-  EXPECT_EQ(engine_.cache().size(), 0u);
   auto after = session.Query("ERROR");
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(after->from_cache);
+  const BoxCacheStats stats = engine_.box_cache()->Stats();
+  EXPECT_EQ(stats.result_misses, before.result_misses + 1);
+  EXPECT_EQ(stats.box_hits, before.box_hits + 1);
+  EXPECT_EQ(stats.box_misses, before.box_misses);
+  EXPECT_EQ(stats.capsule_misses, before.capsule_misses);
 }
 
 // The serving layer calls Rebind when the archive set rolls the shard a

@@ -608,6 +608,9 @@ TEST_F(LogArchiveTest, CacheDisabledArchiveStillAnswersCorrectly) {
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->hits.size(), 1u);
     EXPECT_EQ(result->hits[0].second, "plain entry chi 1");
+    // No box cache, but the engine still caches results: the repeat is
+    // answered without touching the block.
+    EXPECT_EQ(result->blocks_from_cache, round == 0 ? 0u : 1u);
   }
   auto parallel = archive->Query("chi", {.threads = 2});
   ASSERT_TRUE(parallel.ok());
