@@ -406,7 +406,7 @@ int main() {
     LogGrepEngine warm_engine;
     QuerySession session(&warm_engine, box);
     const double session_seconds = bench::TimeSeconds([&] {
-      for (int round = 0; round < 2; ++round) {  // round 2 replays the memo
+      for (int round = 0; round < 2; ++round) {  // round 2 replays the result cache
         for (const std::string& command : chain) {
           if (!session.Query(command).ok()) {
             std::exit(1);

@@ -11,10 +11,6 @@
 namespace loggrep {
 namespace {
 
-inline uint64_t ElapsedNanos(const WallTimer& timer) {
-  return timer.ElapsedNanos();
-}
-
 // Decompression and stamp checks are timed where they run and accounted to
 // their own stages; the scan and reconstruct stages that trigger them
 // subtract what they triggered, so the stages never count a nanosecond twice.
@@ -113,11 +109,34 @@ LogGrepEngine::LogGrepEngine(EngineOptions options)
   }
   if (cache_ == nullptr && (options_.use_box_cache || options_.use_cache)) {
     BoxCacheOptions copts;
-    copts.byte_budget = options_.box_cache_budget_bytes;
+    copts.byte_budget =
+        options_.use_box_cache
+            ? options_.box_cache_budget_bytes
+            : std::min(options_.box_cache_budget_bytes,
+                       EngineOptions::kResultsOnlyBudgetBytes);
     copts.metrics = options_.metrics;
     owned_cache_ = std::make_unique<BoxCache>(copts);
     cache_ = owned_cache_.get();
   }
+}
+
+std::optional<QueryResult> LogGrepEngine::LookupResult(
+    const BoxKey& key, std::string_view command) {
+  if (!options_.use_cache) {
+    return std::nullopt;
+  }
+  std::shared_ptr<const CachedQuery> cached = cache_->LookupResult(key, command);
+  if (cached == nullptr) {
+    return std::nullopt;
+  }
+  QueryResult result;
+  result.hits = cached->hits;
+  result.locator = cached->locator;  // what the original execution cost
+  result.from_cache = true;
+  if (options_.metrics != nullptr) {
+    options_.metrics->GetOrCreate("query.command_cache_hits")->Increment();
+  }
+  return result;
 }
 
 void LogGrepEngine::CacheResult(const BoxKey& key, std::string_view command,
@@ -197,16 +216,8 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
   // describe what this run actually did.
   const bool cache_result = options_.use_cache && explain == nullptr;
   if (cache_result) {
-    if (std::shared_ptr<const CachedQuery> cached =
-            cache_->LookupResult(key, command)) {
-      QueryResult result;
-      result.hits = cached->hits;
-      result.locator = cached->locator;  // what the original execution cost
-      result.from_cache = true;
-      if (options_.metrics != nullptr) {
-        options_.metrics->GetOrCreate("query.command_cache_hits")->Increment();
-      }
-      return result;
+    if (std::optional<QueryResult> cached = LookupResult(key, command)) {
+      return std::move(*cached);
     }
   }
 
@@ -265,7 +276,7 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
       local_box.emplace(std::move(*parsed));
       box = &*local_box;
     }
-    open_stats.open_nanos = ElapsedNanos(open_timer);
+    open_stats.open_nanos = open_timer.ElapsedNanos();
   }
 
   LocatorOptions lopts;
@@ -285,7 +296,7 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
   {
     const TraceSpan scan_span("engine.scan", "query");
     ev = EvaluateExpr(querier, **expr);
-    scan_nanos = ElapsedNanos(scan_timer);
+    scan_nanos = scan_timer.ElapsedNanos();
     charged_by_scan = ChargedNanos(querier.stats());
   }
   if (!querier.status().ok()) {
@@ -319,7 +330,7 @@ Result<QueryResult> LogGrepEngine::QueryInternal(const BoxKey& key,
   // ordered; this is the cross-group merge of §3).
   std::sort(result.hits.begin(), result.hits.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  const uint64_t reconstruct_nanos = ElapsedNanos(reconstruct_timer);
+  const uint64_t reconstruct_nanos = reconstruct_timer.ElapsedNanos();
 
   result.locator = querier.stats();
   result.locator.scan_nanos = ExclusiveNanos(scan_nanos, charged_by_scan);

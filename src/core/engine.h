@@ -23,6 +23,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -47,11 +48,13 @@ struct EngineOptions {
   // The cache behind both switches: results when `use_cache` is set,
   // opened boxes and decompressed Capsules when `use_box_cache` is set.
   // When `box_cache` is null and either switch is on, the engine owns a
-  // private cache sized by `box_cache_budget_bytes`; pass an external cache
-  // to share it across engines.
+  // private cache sized by `box_cache_budget_bytes`, or by at most
+  // kResultsOnlyBudgetBytes when it holds results only (`use_box_cache`
+  // off). Pass an external cache to share it across engines.
   bool use_box_cache = true;
   size_t box_cache_budget_bytes = 256ull << 20;
   BoxCache* box_cache = nullptr;  // borrowed; must outlive the engine
+  static constexpr size_t kResultsOnlyBudgetBytes = 64ull << 20;
 
   // Optional registry for query-side counters ("query.*",
   // "query.box_cache.*"). Borrowed; must outlive the engine.
@@ -65,7 +68,9 @@ struct EngineOptions {
 struct QueryResult {
   QueryHits hits;        // (line number, original text), in block order
   // Cost accounting. For cache hits this is the snapshot of the execution
-  // that originally produced the result (not zeros).
+  // that originally produced the result (not zeros); a result a
+  // QuerySession refined from its previous hits ran no locate stage, so its
+  // snapshot is zero.
   LocatorStats locator;
   bool from_cache = false;
 };
@@ -104,9 +109,14 @@ class LogGrepEngine {
   // The effective cache (owned or borrowed); null when both `use_cache` and
   // `use_box_cache` are off.
   BoxCache* box_cache() const { return cache_; }
+  // The cached result of `command` against `key`, counted as a command
+  // cache hit; nullopt on a miss or with `use_cache` off.
+  std::optional<QueryResult> LookupResult(const BoxKey& key,
+                                          std::string_view command);
   // Stores `hits` as the result of `command` against `key` (a no-op with
   // `use_cache` off). For answers derived without running the query —
   // QuerySession's refinements — which must equal what QueryBox returns.
+  // The stored cost snapshot is zero: no locate stage ran.
   void CacheResult(const BoxKey& key, std::string_view command,
                    const QueryHits& hits);
   // Drops every cached result (sessions call this on Reset so a reset can

@@ -1,5 +1,7 @@
 #include "src/core/session.h"
 
+#include <cctype>
+
 #include "src/query/line_match.h"
 #include "src/query/query_parser.h"
 
@@ -10,31 +12,22 @@ namespace {
 // returns the appended suffix ("<suffix...>"), else empty.
 std::string_view RefinementSuffix(std::string_view previous,
                                   std::string_view command) {
-  if (previous.empty() || command.size() <= previous.size() ||
+  if (previous.empty() || command.size() <= previous.size() + 5 ||
       command.substr(0, previous.size()) != previous) {
     return {};
   }
   std::string_view rest = command.substr(previous.size());
-  // Expect " and " (any case) next.
-  if (rest.size() < 6 || rest[0] != ' ') {
-    return {};
+  std::string separator(rest.substr(0, 5));
+  for (char& c : separator) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
-  const std::string_view word = rest.substr(1, 3);
-  if (!((word[0] == 'a' || word[0] == 'A') && (word[1] == 'n' || word[1] == 'N') &&
-        (word[2] == 'd' || word[2] == 'D')) ||
-      rest[4] != ' ') {
-    return {};
-  }
-  return rest.substr(5);
+  return separator == " and " ? rest.substr(5) : std::string_view();
 }
 
 // Parses an appended clause that is a pure AND chain, the only kind under
 // which the incremental path is sound ("a AND x AND y" refines "a", but
 // "a OR x" does not); null for anything else.
 std::unique_ptr<QueryExpr> ParsePureAndChain(std::string_view suffix) {
-  if (suffix.empty()) {
-    return nullptr;
-  }
   Result<std::unique_ptr<QueryExpr>> parsed = ParseQuery(suffix);
   if (!parsed.ok()) {
     return nullptr;
@@ -56,9 +49,14 @@ std::unique_ptr<QueryExpr> ParsePureAndChain(std::string_view suffix) {
 Result<SessionQueryResult> QuerySession::Query(std::string_view command) {
   SessionQueryResult out;
   const std::unique_ptr<QueryExpr> appended =
-      has_last_ ? ParsePureAndChain(RefinementSuffix(last_command_, command))
-                : nullptr;
-  if (appended != nullptr) {
+      ParsePureAndChain(RefinementSuffix(last_command_, command));
+  // A revisited refinement is answered from the cache, not re-filtered.
+  std::optional<QueryResult> cached =
+      appended != nullptr ? engine_->LookupResult(key_, command) : std::nullopt;
+  if (cached.has_value()) {
+    out.hits = std::move(cached->hits);
+    out.from_cache = true;
+  } else if (appended != nullptr) {
     out.refined_incrementally = true;
     LineMatcher matcher;
     for (const auto& [line, text] : last_hits_) {
@@ -79,12 +77,10 @@ Result<SessionQueryResult> QuerySession::Query(std::string_view command) {
   }
   last_command_.assign(command.data(), command.size());
   last_hits_ = out.hits;
-  has_last_ = true;
   return out;
 }
 
 void QuerySession::Reset() {
-  has_last_ = false;
   last_command_.clear();
   last_hits_.clear();
   engine_->ClearCache();

@@ -57,9 +57,8 @@ class QuerySession {
   LogGrepEngine* engine_;
   std::string_view box_;
   BoxKey key_;  // box_'s identity in the engine's caches, hashed once
-  std::string last_command_;
+  std::string last_command_;  // empty: nothing to refine
   QueryHits last_hits_;
-  bool has_last_ = false;
 };
 
 }  // namespace loggrep

@@ -125,12 +125,17 @@ void BoxCache::EvictOverBudgetLocked(Shard& shard) {
   while (shard.bytes > per_shard_budget_ && shard.lru.size() > 1) {
     auto it = shard.map.find(shard.lru.back());
     shard.bytes -= it->second.charge;
+    if (it->first.slot == kResultSlot) {
+      shard.result_bytes -= it->second.charge;
+      result_evictions_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+      if (m_evictions_ != nullptr) {
+        m_evictions_->Increment();
+      }
+    }
     shard.map.erase(it);
     shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (m_evictions_ != nullptr) {
-      m_evictions_->Increment();
-    }
   }
 }
 
@@ -157,10 +162,13 @@ BoxCache::Entry BoxCache::InsertOrAdopt(const EntryKey& key, Entry entry) {
   shard.lru.push_front(key);
   entry.lru_it = shard.lru.begin();
   shard.bytes += entry.charge;
+  if (key.slot == kResultSlot) {
+    shard.result_bytes += entry.charge;
+  }
   auto inserted = shard.map.emplace(key, std::move(entry)).first;
   EvictOverBudgetLocked(shard);
   if (m_bytes_hwm_ != nullptr) {
-    m_bytes_hwm_->UpdateMax(shard.bytes);
+    m_bytes_hwm_->UpdateMax(shard.bytes - shard.result_bytes);
   }
   return inserted->second;
 }
@@ -262,15 +270,6 @@ void BoxCache::InsertResult(const BoxKey& key, std::string_view command,
                 std::move(entry));
 }
 
-void BoxCache::Clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->map.clear();
-    shard->lru.clear();
-    shard->bytes = 0;
-  }
-}
-
 void BoxCache::ClearResults() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -281,6 +280,7 @@ void BoxCache::ClearResults() {
       }
       auto entry = shard->map.find(*it);
       shard->bytes -= entry->second.charge;
+      shard->result_bytes -= entry->second.charge;
       shard->map.erase(entry);
       it = shard->lru.erase(it);
     }
@@ -296,6 +296,7 @@ BoxCacheStats BoxCache::Stats() const {
   stats.result_hits = result_hits_.load(std::memory_order_relaxed);
   stats.result_misses = result_misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
+  stats.result_evictions = result_evictions_.load(std::memory_order_relaxed);
   stats.bytes_saved = bytes_saved_.load(std::memory_order_relaxed);
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);

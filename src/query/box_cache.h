@@ -29,8 +29,10 @@
 // Observability: hit/miss/eviction counters and bytes-saved are kept as
 // atomics and mirrored into an optional MetricsRegistry
 // ("query.box_cache.*" counters) so the ingest-side registry of PR 1 covers
-// the query side too. Result hits and misses are counted apart from box and
-// capsule ones (the engine reports them as "query.command_cache_hits").
+// the query side too. Result entries are counted apart from box and capsule
+// ones: their hits and misses (the engine reports hits as
+// "query.command_cache_hits"), their evictions, and their bytes, which
+// count against the budget but not toward "query.box_cache.bytes_in_use_hwm".
 #ifndef SRC_QUERY_BOX_CACHE_H_
 #define SRC_QUERY_BOX_CACHE_H_
 
@@ -136,9 +138,10 @@ struct BoxCacheStats {
   uint64_t capsule_misses = 0;
   uint64_t result_hits = 0;
   uint64_t result_misses = 0;
-  uint64_t evictions = 0;      // entries of every kind
-  uint64_t bytes_saved = 0;    // decompressed/opened bytes served warm
-  uint64_t bytes_in_use = 0;   // current charged bytes across shards
+  uint64_t evictions = 0;         // opened boxes and capsules
+  uint64_t result_evictions = 0;  // result entries
+  uint64_t bytes_saved = 0;       // decompressed/opened bytes served warm
+  uint64_t bytes_in_use = 0;      // current charged bytes, every kind
   uint64_t entries = 0;
 };
 
@@ -173,8 +176,6 @@ class BoxCache {
   void InsertResult(const BoxKey& key, std::string_view command,
                     CachedQuery value);
 
-  // Drops every entry (pinned shared_ptrs stay valid).
-  void Clear();
   // Drops only result entries: opened boxes and capsules stay warm.
   void ClearResults();
 
@@ -212,7 +213,8 @@ class BoxCache {
     mutable std::mutex mu;
     std::unordered_map<EntryKey, Entry, EntryKeyHash> map;
     std::list<EntryKey> lru;  // front = most recently used
-    size_t bytes = 0;
+    size_t bytes = 0;         // every kind; what the budget bounds
+    size_t result_bytes = 0;  // of `bytes`, held by result entries
   };
 
   Shard& ShardFor(const EntryKey& key);
@@ -239,6 +241,7 @@ class BoxCache {
   std::atomic<uint64_t> result_hits_{0};
   std::atomic<uint64_t> result_misses_{0};
   std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> result_evictions_{0};
   std::atomic<uint64_t> bytes_saved_{0};
 
   // Resolved once; null when no registry was supplied.

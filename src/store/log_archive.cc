@@ -30,10 +30,6 @@ constexpr size_t kShingleLen = 4;
 // arithmetic below; reject them during manifest parsing.
 constexpr uint64_t kMaxPlausibleLines = 1ull << 62;
 
-inline uint64_t ElapsedNanos(const WallTimer& timer) {
-  return timer.ElapsedNanos();
-}
-
 // Engine options for the archive's engine: wire in the archive's cache (the
 // engine must not own a second one). Without one the engine keeps a private
 // cache for results only, so repeated commands are still answered warm.
@@ -719,7 +715,7 @@ uint64_t LogArchive::PruneBlocks(const std::vector<std::string>& required,
       to_query->push_back(&block);
     }
   }
-  return ElapsedNanos(timer);
+  return timer.ElapsedNanos();
 }
 
 Result<ArchiveQueryResult> LogArchive::Query(std::string_view command,

@@ -43,7 +43,9 @@ struct ArchiveOptions {
   // Byte budget of the archive-owned BoxCache behind the archive's engine:
   // opened boxes, decompressed Capsules and query results, shared by every
   // worker of a threaded query. 0 disables box and Capsule caching; results
-  // then live in an engine-owned cache of `engine.box_cache_budget_bytes`.
+  // then live in an engine-owned cache bounded by
+  // EngineOptions::kResultsOnlyBudgetBytes (64 MiB), or by
+  // `engine.box_cache_budget_bytes` when that is smaller.
   size_t box_cache_budget_bytes = 256ull << 20;
   // Optional registry for query/cache counters. Borrowed.
   MetricsRegistry* metrics = nullptr;

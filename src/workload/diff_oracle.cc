@@ -359,13 +359,26 @@ OracleReport RunDifferentialOracle(const OracleOptions& options) {
       for (OracleMode mode : options.modes) {
         Result<ArchiveQueryResult> got = [&]() -> Result<ArchiveQueryResult> {
           switch (mode) {
-            case OracleMode::kColdEngine: {
+            case OracleMode::kColdEngine:
+            case OracleMode::kParallel: {
+              // A freshly opened handle: threaded workers share the
+              // handle's result cache, so on one that already ran `command`
+              // no worker would run. Nothing may come from a cache.
               Result<LogArchive> cold =
                   LogArchive::Open(fx.dir, options.archive);
               if (!cold.ok()) {
                 return cold.status();
               }
-              return cold->Query(command);
+              Result<ArchiveQueryResult> r = cold->Query(
+                  command, {.threads = mode == OracleMode::kParallel
+                                           ? options.parallel_threads
+                                           : 0});
+              if (r.ok() && r->blocks_from_cache != 0) {
+                return Internal("oracle: a fresh handle answered " +
+                                std::to_string(r->blocks_from_cache) +
+                                " blocks from the result cache");
+              }
+              return r;
             }
             case OracleMode::kWarmCache: {
               // First pass warms the shared BoxCache + command cache; the
@@ -376,9 +389,6 @@ OracleReport RunDifferentialOracle(const OracleOptions& options) {
               }
               return archive->Query(command);
             }
-            case OracleMode::kParallel:
-              return archive->Query(
-                  command, QueryOptions{.threads = options.parallel_threads});
             case OracleMode::kPostRecovery:
               return recovered->Query(command);
             case OracleMode::kSession: {
@@ -767,18 +777,35 @@ OracleReport RunFederationOracle(const FederationOracleOptions& options) {
         FedExpectedHits(ref_lines, shard_model, tenants, **expr, cmd.pred);
     ++report.commands_run;
 
-    if (wants_mode(FederationMode::kCold)) {
+    // The cold and parallel legs each open a fresh set: threaded workers
+    // share each shard's result cache, so on a warm set no worker would run.
+    for (FederationMode mode :
+         {FederationMode::kCold, FederationMode::kParallel}) {
+      if (!wants_mode(mode)) {
+        continue;
+      }
+      const char* name =
+          mode == FederationMode::kCold ? "fed-cold" : "fed-parallel";
       ++report.checks_run;
-      Result<std::unique_ptr<ArchiveSet>> cold =
+      const QueryOptions query_options{
+          .threads = mode == FederationMode::kParallel
+                         ? options.parallel_threads
+                         : 0};
+      Result<std::unique_ptr<ArchiveSet>> fresh =
           ArchiveSet::Open(root, set_options);
       Result<SetQueryResult> got =
-          cold.ok() ? (*cold)->Query(cmd.command, cmd.pred) : cold.status();
+          fresh.ok() ? (*fresh)->Query(cmd.command, cmd.pred, query_options)
+                     : fresh.status();
       if (!got.ok()) {
-        note("fed-cold", cmd, "query failed: " + got.status().ToString());
+        note(name, cmd, "query failed: " + got.status().ToString());
+      } else if (got->blocks_from_cache != 0) {
+        note(name, cmd,
+             std::to_string(got->blocks_from_cache) +
+                 " blocks answered from the result cache of a fresh set");
       } else {
-        check_result("fed-cold", cmd, *got, /*expect_complete=*/true);
+        check_result(name, cmd, *got, /*expect_complete=*/true);
         if (auto diff = DiffHits(expected, std::move(got->hits))) {
-          note("fed-cold", cmd, *diff);
+          note(name, cmd, *diff);
         }
       }
     }
@@ -793,20 +820,6 @@ OracleReport RunFederationOracle(const FederationOracleOptions& options) {
         check_result("fed-warm", cmd, *got, /*expect_complete=*/true);
         if (auto diff = DiffHits(expected, std::move(got->hits))) {
           note("fed-warm", cmd, *diff);
-        }
-      }
-    }
-    if (wants_mode(FederationMode::kParallel)) {
-      ++report.checks_run;
-      Result<SetQueryResult> got =
-          set->Query(cmd.command, cmd.pred,
-                     QueryOptions{.threads = options.parallel_threads});
-      if (!got.ok()) {
-        note("fed-parallel", cmd, "query failed: " + got.status().ToString());
-      } else {
-        check_result("fed-parallel", cmd, *got, /*expect_complete=*/true);
-        if (auto diff = DiffHits(expected, std::move(got->hits))) {
-          note("fed-parallel", cmd, *diff);
         }
       }
     }

@@ -38,7 +38,8 @@ enum class OracleMode {
                   // boxes, Capsules and results warm)
   kSession,       // QuerySession per block, exercising incremental
                   // refinement for conjunctive commands
-  kParallel,      // LogArchive::Query with QueryOptions::threads > 1
+  kParallel,      // LogArchive::Query with QueryOptions::threads > 1 on
+                  // a freshly opened archive (no block from the cache)
   kPostRecovery,  // archive reopened after a commit aborted mid-protocol
 };
 
@@ -116,6 +117,7 @@ enum class FederationMode {
   kCold,       // fresh ArchiveSet::Open per command, empty caches
   kWarm,       // persistent set, second execution compared
   kParallel,   // ArchiveSet::Query scatter with QueryOptions::threads > 1
+               // on a freshly opened set (no block from the cache)
   kPostRepair, // corrupt one shard, expect exact degraded hits, repair,
                // expect exact convergence
 };

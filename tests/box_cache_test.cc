@@ -202,7 +202,7 @@ TEST(BoxCacheTest, OversizedEntryIsStillAdmitted) {
   EXPECT_TRUE(was_hit);
 }
 
-TEST(BoxCacheTest, PinnedEntriesSurviveEvictionAndClear) {
+TEST(BoxCacheTest, PinnedEntriesSurviveEviction) {
   BoxCacheOptions options;
   options.byte_budget = 2048;
   options.shards = 1;
@@ -224,8 +224,15 @@ TEST(BoxCacheTest, PinnedEntriesSurviveEvictionAndClear) {
                                       })
                     .ok());
   }
-  cache.Clear();
-  EXPECT_EQ(cache.Stats().entries, 0u);
+  bool was_hit = true;
+  ASSERT_TRUE(cache
+                  .GetOrLoadCapsule(key, 0,
+                                    []() -> Result<std::string> {
+                                      return std::string(1024, 'r');
+                                    },
+                                    &was_hit)
+                  .ok());
+  EXPECT_FALSE(was_hit);  // evicted, reloaded
   // ...yet the pinned shared_ptr keeps its bytes alive and intact.
   EXPECT_EQ(view.size(), 1024u);
   EXPECT_EQ(view[0], 'p');
@@ -304,7 +311,8 @@ TEST(BoxCacheResultTest, ByteBudgetEvictsLeastRecentlyUsed) {
   ASSERT_NE(cache.LookupResult(key, "a"), nullptr);  // "b" is LRU now
   cache.InsertResult(key, "c", CachedQuery{OneHit(3, big), {}});
   const BoxCacheStats stats = cache.Stats();
-  EXPECT_GE(stats.evictions, 1u);
+  EXPECT_GE(stats.result_evictions, 1u);
+  EXPECT_EQ(stats.evictions, 0u);  // counts boxes and capsules only
   EXPECT_LE(stats.bytes_in_use, options.byte_budget);
   EXPECT_EQ(cache.LookupResult(key, "b"), nullptr);
   EXPECT_NE(cache.LookupResult(key, "a"), nullptr);
@@ -375,6 +383,38 @@ TEST(BoxCacheTest, MetricsRegistryMirrorsCounters) {
   EXPECT_NE(cache.LookupResult(key, "q"), nullptr);
   EXPECT_EQ(metrics.GetOrCreate("query.box_cache.misses")->value(), 1u);
   EXPECT_EQ(metrics.GetOrCreate("query.box_cache.hits")->value(), 1u);
+}
+
+TEST(BoxCacheTest, ResultEntriesLeaveEvictionAndBytesCountersAlone) {
+  // The budget covers every kind, but "query.box_cache.evictions" and
+  // "query.box_cache.bytes_in_use_hwm" describe boxes and capsules only.
+  MetricsRegistry& metrics = SharedMetrics();
+  BoxCacheOptions options;
+  options.byte_budget = 2000;
+  options.shards = 1;  // deterministic LRU order
+  options.metrics = &metrics;
+  BoxCache cache(options);
+  const BoxKey key = BoxKey::ForSequence(BoxKey::NextNamespaceId(), 0);
+  auto blob = []() -> Result<std::string> { return std::string(100, 'm'); };
+  ASSERT_TRUE(cache.GetOrLoadCapsule(key, 0, blob).ok());
+  const std::string big(512, 'x');
+  for (const char* command : {"a", "b", "c"}) {
+    cache.InsertResult(key, command, CachedQuery{OneHit(1, big), {}});
+    ASSERT_TRUE(cache.GetOrLoadCapsule(key, 0, blob).ok());  // keep it hot
+  }
+  const BoxCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.result_evictions, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(cache.LookupResult(key, "a"), nullptr);
+  EXPECT_EQ(metrics.GetOrCreate("query.box_cache.evictions")->value(), 0u);
+  const uint64_t hwm =
+      metrics.GetOrCreate("query.box_cache.bytes_in_use_hwm")->value();
+  EXPECT_GE(hwm, 100u);
+  EXPECT_LT(hwm, big.size());  // the capsule's charge, no result bytes
+  EXPECT_GT(stats.bytes_in_use, 2 * big.size());  // results still resident
+
+  cache.ClearResults();
+  EXPECT_LT(cache.Stats().bytes_in_use, big.size());
 }
 
 TEST(BoxCacheTest, ConcurrentMixedLoadsStayConsistent) {

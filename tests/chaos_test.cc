@@ -223,6 +223,11 @@ TEST_F(ChaosTest, ZeroFaultRunsMatchTheReferenceHitForHit) {
     Result<LogArchive> archive = LogArchive::Open(dir_);
     ASSERT_TRUE(archive.ok()) << archive.status().ToString();
     EXPECT_TRUE(archive->quarantine().empty());
+    // Threaded workers share their handle's result cache, so the parallel
+    // leg runs on a handle of its own to stay cold.
+    Result<LogArchive> par_archive = LogArchive::Open(dir_);
+    ASSERT_TRUE(par_archive.ok()) << par_archive.status().ToString();
+    std::set<std::string> par_seen;
 
     for (const std::string& command : w.commands) {
       const QueryHits expected = ReferenceHits(w, command);
@@ -234,9 +239,14 @@ TEST_F(ChaosTest, ZeroFaultRunsMatchTheReferenceHitForHit) {
         ExpectHitsEqual(expected, r->hits,
                         command + (run == 0 ? " [cold]" : " [warm]"));
       }
-      Result<ArchiveQueryResult> par = archive->Query(command, {.threads = 3});
+      Result<ArchiveQueryResult> par =
+          par_archive->Query(command, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       EXPECT_FALSE(par->partial.partial());
+      // A suite may list a command twice; its first run must be cold.
+      if (par_seen.insert(command).second) {
+        EXPECT_EQ(par->blocks_from_cache, 0u) << command;
+      }
       ExpectHitsEqual(expected, par->hits, command + " [parallel]");
 
       QueryExplain explain;
@@ -279,11 +289,20 @@ TEST_F(ChaosTest, TransientFaultStormsConvergeToTheReferenceViaRetries) {
 
     // Open's manifest read is not retried; the per-path cap guarantees the
     // third attempt cannot fault.
-    Result<LogArchive> archive = LogArchive::Open(dir_, opts);
-    for (int i = 0; i < 2 && !archive.ok(); ++i) {
-      archive = LogArchive::Open(dir_, opts);
-    }
+    const auto open_with_retries = [&] {
+      Result<LogArchive> opened = LogArchive::Open(dir_, opts);
+      for (int i = 0; i < 2 && !opened.ok(); ++i) {
+        opened = LogArchive::Open(dir_, opts);
+      }
+      return opened;
+    };
+    Result<LogArchive> archive = open_with_retries();
     ASSERT_TRUE(archive.ok()) << archive.status().ToString();
+    // The parallel leg gets a handle of its own: threaded workers share
+    // their handle's result cache, and every leg must read its blocks.
+    Result<LogArchive> par_archive = open_with_retries();
+    ASSERT_TRUE(par_archive.ok()) << par_archive.status().ToString();
+    std::set<std::string> par_seen;
 
     // Deterministic warm-up storm: the next two reads fail no matter what
     // the dice say, against a query that provably cannot prune every block
@@ -306,9 +325,14 @@ TEST_F(ChaosTest, TransientFaultStormsConvergeToTheReferenceViaRetries) {
           << "transient faults must never degrade: " << r->partial.Render();
       ExpectHitsEqual(expected, r->hits, command + " [transient storm]");
 
-      Result<ArchiveQueryResult> par = archive->Query(command, {.threads = 3});
+      Result<ArchiveQueryResult> par =
+          par_archive->Query(command, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
       EXPECT_FALSE(par->partial.partial());
+      // A suite may list a command twice; its first run must be cold.
+      if (par_seen.insert(command).second) {
+        EXPECT_EQ(par->blocks_from_cache, 0u) << command;
+      }
       ExpectHitsEqual(expected, par->hits,
                       command + " [transient storm, parallel]");
     }
@@ -372,6 +396,13 @@ TEST_F(ChaosTest, PermanentFaultsDegradeToExactlyTheHealthyBlocksThenRepair) {
     // queries skip it without re-paying the retry storm.
     EXPECT_TRUE(std::filesystem::exists(dir_ + "/quarantine.json"));
     ASSERT_NE(archive->quarantine().Find(kSickSeq), nullptr);
+    // A second handle, opened after the hole was recorded, for the parallel
+    // leg: threaded workers share their handle's result cache, and the leg
+    // must read its blocks.
+    Result<LogArchive> par_archive = LogArchive::Open(dir_, opts);
+    ASSERT_TRUE(par_archive.ok()) << par_archive.status().ToString();
+    std::set<std::string> par_seen;
+    ASSERT_NE(par_archive->quarantine().Find(kSickSeq), nullptr);
 
     for (const std::string& command : w.commands) {
       const QueryHits expected = ReferenceHits(w, command, {kSickSeq});
@@ -382,8 +413,17 @@ TEST_F(ChaosTest, PermanentFaultsDegradeToExactlyTheHealthyBlocksThenRepair) {
         EXPECT_EQ(f.seq, kSickSeq);
         EXPECT_FALSE(f.newly_quarantined) << "hole re-discovered, not skipped";
       }
-      Result<ArchiveQueryResult> par = archive->Query(command, {.threads = 3});
+      Result<ArchiveQueryResult> par =
+          par_archive->Query(command, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
+      // A suite may list a command twice; its first run must be cold.
+      if (par_seen.insert(command).second) {
+        EXPECT_EQ(par->blocks_from_cache, 0u) << command;
+      }
+      for (const BlockQueryFailure& f : par->partial.failures) {
+        EXPECT_EQ(f.seq, kSickSeq);
+        EXPECT_FALSE(f.newly_quarantined) << "hole re-discovered, not skipped";
+      }
       ExpectHitsEqual(expected, par->hits,
                       command + " [standing hole, parallel]");
     }
@@ -696,14 +736,25 @@ TEST_F(ChaosTest, FederationDegradesToHealthyShardsThenRepairsExactly) {
                     anchor + " [federated degraded]");
 
     // The whole command suite keeps 206 semantics: exactly the healthy
-    // shards' lines, serial and parallel.
+    // shards' lines, serial and parallel. The parallel leg runs on a second
+    // set: threaded workers share each shard's result cache, and the leg
+    // must read its blocks.
+    Result<std::unique_ptr<ArchiveSet>> par_set =
+        ArchiveSet::Open(dir_, set_options);
+    ASSERT_TRUE(par_set.ok()) << par_set.status().ToString();
+    std::set<std::string> par_seen;
     for (const std::string& command : w.commands) {
       const QueryHits expected = set_reference(command, kSick);
       Result<SetQueryResult> r = set->Query(command, {});
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       ExpectHitsEqual(expected, r->hits, command + " [federated hole]");
-      Result<SetQueryResult> par = set->Query(command, {}, {.threads = 3});
+      Result<SetQueryResult> par =
+          (*par_set)->Query(command, {}, {.threads = 3});
       ASSERT_TRUE(par.ok()) << par.status().ToString();
+      // A suite may list a command twice; its first run must be cold.
+      if (par_seen.insert(command).second) {
+        EXPECT_EQ(par->blocks_from_cache, 0u) << command;
+      }
       ExpectHitsEqual(expected, par->hits,
                       command + " [federated hole, parallel]");
     }

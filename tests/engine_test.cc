@@ -188,6 +188,22 @@ TEST(EngineTest, CacheDisabledNeverServesFromCache) {
   EXPECT_EQ(stats.result_hits + stats.result_misses, 0u);
 }
 
+TEST(EngineTest, ResultsOnlyCacheIsBoundedApart) {
+  // With box caching off (as behind an archive opened with
+  // box_cache_budget_bytes = 0) the engine's own cache holds results only,
+  // and its budget is capped instead of taking the whole box budget.
+  EngineOptions opts;
+  opts.use_box_cache = false;
+  LogGrepEngine results_only(opts);
+  ASSERT_NE(results_only.box_cache(), nullptr);
+  EXPECT_EQ(results_only.box_cache()->byte_budget(),
+            EngineOptions::kResultsOnlyBudgetBytes);
+  opts.box_cache_budget_bytes = 1 << 20;
+  EXPECT_EQ(LogGrepEngine(opts).box_cache()->byte_budget(), 1u << 20);
+  EXPECT_EQ(LogGrepEngine().box_cache()->byte_budget(),
+            EngineOptions().box_cache_budget_bytes);
+}
+
 TEST(EngineTest, QueryCacheIsPerBox) {
   // Regression: the same command against a different box must not serve the
   // first box's cached hits.

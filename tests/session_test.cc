@@ -198,6 +198,14 @@ TEST_F(QuerySessionTest, RevisitingAnyEarlierCommandIsMemoized) {
   auto deeper = session.Query("ERROR and aborted and code:");
   ASSERT_TRUE(deeper.ok());
   EXPECT_TRUE(deeper->refined_incrementally);
+  // Stepping back to the parent and forward again replays the cached
+  // refinement instead of filtering the parent's hits a second time.
+  ASSERT_TRUE(session.Query("ERROR").ok());
+  auto again = session.Query("ERROR and aborted");
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->from_cache);
+  EXPECT_FALSE(again->refined_incrementally);
+  EXPECT_EQ(again->hits, refined->hits);
 }
 
 // A refined result lands in the engine's result cache, so a plain engine
