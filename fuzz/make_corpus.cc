@@ -19,6 +19,7 @@
 #include "src/core/engine.h"
 #include "src/store/fs_util.h"
 #include "src/store/log_archive.h"
+#include "src/store/quarantine.h"
 #include "src/workload/datasets.h"
 #include "src/workload/loggen.h"
 
@@ -139,6 +140,17 @@ int main(int argc, char** argv) {
       }
     }
     fs::remove_all(scratch);
+
+    // Quarantine sidecars (fuzz_manifest feeds every input to both
+    // parsers): an empty one and one with escapes, a tombstone and a
+    // 64-bit timestamp.
+    QuarantineSet sidecar;
+    WriteSeed(dir, SerializeQuarantineJson(sidecar));
+    sidecar.Add({2, "IO_ERROR", "read \"block-2.lgc\"\n\tEIO", false,
+                 1754000000});
+    sidecar.Add({5, "CORRUPT_DATA", std::string("bad\0hash", 8), true,
+                 UINT64_MAX});
+    WriteSeed(dir, SerializeQuarantineJson(sidecar));
   }
 
   // --- http: request/response/json bytes behind the 1-byte chunk selector

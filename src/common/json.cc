@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/common/string_util.h"
+
 namespace loggrep {
 
 void AppendJsonString(std::string* out, std::string_view s) {
@@ -55,12 +57,24 @@ bool JsonValue::AsBool(bool fallback) const {
   return kind_ == Kind::kBool ? bool_ : fallback;
 }
 
+// The float-to-int casts below are undefined outside the target range, so
+// the range is checked first (2^63 and 2^64 are exact doubles). The negated
+// comparisons also send NaN to the fallback.
 int64_t JsonValue::AsInt(int64_t fallback) const {
-  return kind_ == Kind::kNumber ? static_cast<int64_t>(number_) : fallback;
+  if (is_uint_ && uint_ <= static_cast<uint64_t>(INT64_MAX)) {
+    return static_cast<int64_t>(uint_);
+  }
+  if (kind_ != Kind::kNumber || !(number_ >= -0x1p63 && number_ < 0x1p63)) {
+    return fallback;
+  }
+  return static_cast<int64_t>(number_);
 }
 
 uint64_t JsonValue::AsUint(uint64_t fallback) const {
-  if (kind_ != Kind::kNumber || number_ < 0) {
+  if (is_uint_) {
+    return uint_;
+  }
+  if (kind_ != Kind::kNumber || !(number_ >= 0 && number_ < 0x1p64)) {
     return fallback;
   }
   return static_cast<uint64_t>(number_);
@@ -103,6 +117,13 @@ JsonValue JsonValue::Number(double d) {
   JsonValue v;
   v.kind_ = Kind::kNumber;
   v.number_ = d;
+  return v;
+}
+
+JsonValue JsonValue::Uint(uint64_t u) {
+  JsonValue v = Number(static_cast<double>(u));
+  v.is_uint_ = true;
+  v.uint_ = u;
   return v;
 }
 
@@ -360,7 +381,9 @@ class Parser {
     if (end != token.c_str() + token.size() || !std::isfinite(value)) {
       return InvalidArgument("json: malformed number");
     }
-    *out = JsonValue::Number(value);
+    uint64_t exact = 0;
+    *out = ParseDecimal(token, &exact) ? JsonValue::Uint(exact)
+                                       : JsonValue::Number(value);
     return OkStatus();
   }
 

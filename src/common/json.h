@@ -1,17 +1,15 @@
-// Minimal JSON support shared by the serving layer: string escaping for
-// writers and a small recursive-descent value parser for readers.
-//
-// The store already hand-rolls JSON in two places (quarantine sidecar,
-// metrics exporters); the daemon adds a third producer (query responses)
-// and the first in-process *consumer* (the blocking client used by tests
-// and the throughput bench). This header centralizes the escape rules and
-// gives consumers a proper tree instead of another one-off cursor.
+// The repository's one JSON layer: string escaping for every writer and a
+// small recursive-descent value parser for every reader. Query responses,
+// the quarantine and set-manifest sidecars, the metrics and trace exporters
+// and the blocking client all go through it, so there is one set of escape
+// rules and one tree instead of a one-off cursor per file format.
 //
 // The parser is defensive, not fast: depth-capped, size comes from the
 // caller, malformed input yields kInvalidArgument, never a crash or
-// unbounded recursion. Numbers are kept as int64/double (JSON has no
-// integer type; uint64 values above 2^63 are not needed by any current
-// producer).
+// unbounded recursion. Numbers are kept as doubles; a plain unsigned
+// integer literal (digits only) that fits uint64 also keeps its exact value
+// (is_uint / AsUint), so counters and line numbers above 2^53 read back
+// exactly.
 #ifndef SRC_COMMON_JSON_H_
 #define SRC_COMMON_JSON_H_
 
@@ -44,9 +42,14 @@ class JsonValue {
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_object() const { return kind_ == Kind::kObject; }
   bool is_array() const { return kind_ == Kind::kArray; }
+  // True for an exact unsigned integer, made by Uint(). The parser makes
+  // one of every plain unsigned decimal literal (digits only, no sign,
+  // fraction or exponent) that fits uint64.
+  bool is_uint() const { return is_uint_; }
 
-  // Typed accessors; defaults are returned on kind mismatch (callers in
-  // tests assert kinds explicitly where it matters).
+  // Typed accessors; defaults are returned on kind mismatch and, for the
+  // integer accessors, when the number lies outside the target type's range
+  // (callers in tests assert kinds explicitly where it matters).
   bool AsBool(bool fallback = false) const;
   int64_t AsInt(int64_t fallback = 0) const;
   uint64_t AsUint(uint64_t fallback = 0) const;
@@ -62,6 +65,7 @@ class JsonValue {
   static JsonValue Null();
   static JsonValue Bool(bool b);
   static JsonValue Number(double d);
+  static JsonValue Uint(uint64_t u);
   static JsonValue Str(std::string s);
   static JsonValue Array(std::vector<JsonValue> items);
   static JsonValue Object(std::map<std::string, JsonValue> members);
@@ -70,6 +74,8 @@ class JsonValue {
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0;
+  bool is_uint_ = false;
+  uint64_t uint_ = 0;  // exact value when is_uint_
   std::string string_;
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;

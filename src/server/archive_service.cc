@@ -82,16 +82,26 @@ void AppendPartialJson(std::string* out, const PartialReport& partial) {
   out->append("]}");
 }
 
-// The /query (and /explain) success body. Shape:
+// The explain object of a /explain body, read off either explain tree.
+struct ExplainBody {
+  bool invariant_ok = true;
+  std::string invariant_detail;
+  ExplainTotals totals;
+  std::string render;
+};
+
+// The /query (and /explain) success body of an archive or a set. Shape:
 //   {"complete":bool,"hits":[[line,"text"],...],"stats":{...},
+//    "shards":{"total":n,"pruned":n,"visited":n,"failed":n},  -- set only
 //    "partial":{...},            -- only when degraded
+//    "shard_failures":[...],     -- set only, when a shard failed
 //    "explain":{"render":"...","invariant_ok":bool,"totals":{...}}}  -- /explain
-std::string RenderQueryJson(const ArchiveQueryResult& result,
-                            const QueryExplain* explain) {
+std::string RenderQueryJson(const SetQueryResult& result, bool is_set,
+                            const ExplainBody* explain) {
   std::string out;
   out.reserve(4096 + result.hits.size() * 48);
   out.append("{\"complete\":");
-  out.append(result.partial.partial() ? "false" : "true");
+  out.append(result.complete() ? "true" : "false");
   out.append(",\"hits\":[");
   bool first = true;
   for (const auto& [line, text] : result.hits) {
@@ -107,30 +117,60 @@ std::string RenderQueryJson(const ArchiveQueryResult& result,
   }
   out.append("],\"stats\":");
   AppendStatsJson(&out, result);
+  if (is_set) {
+    out.append(",\"shards\":{\"total\":");
+    AppendUint(&out, result.shards_total);
+    out.append(",\"pruned\":");
+    AppendUint(&out, result.shards_pruned);
+    out.append(",\"visited\":");
+    AppendUint(&out, result.shards_visited);
+    out.append(",\"failed\":");
+    AppendUint(&out, result.shards_failed);
+    out.push_back('}');
+  }
   if (result.partial.partial()) {
     out.append(",\"partial\":");
     AppendPartialJson(&out, result.partial);
   }
+  if (!result.shard_failures.empty()) {
+    out.append(",\"shard_failures\":[");
+    first = true;
+    for (const SetShardFailure& f : result.shard_failures) {
+      if (!first) {
+        out.push_back(',');
+      }
+      first = false;
+      out.append("{\"shard\":");
+      AppendUint(&out, f.shard_id);
+      out.append(",\"tenant\":");
+      AppendJsonString(&out, f.tenant);
+      out.append(",\"first_line\":");
+      AppendUint(&out, f.line_base);
+      out.append(",\"line_count\":");
+      AppendUint(&out, f.lines);
+      out.append(",\"error\":");
+      AppendJsonString(&out, f.error);
+      out.push_back('}');
+    }
+    out.push_back(']');
+  }
   if (explain != nullptr) {
-    std::string detail;
-    const bool invariant_ok = explain->CheckInvariant(&detail);
-    const ExplainTotals totals = explain->Totals();
     out.append(",\"explain\":{\"invariant_ok\":");
-    out.append(invariant_ok ? "true" : "false");
-    if (!invariant_ok) {
+    out.append(explain->invariant_ok ? "true" : "false");
+    if (!explain->invariant_ok) {
       out.append(",\"invariant_detail\":");
-      AppendJsonString(&out, detail);
+      AppendJsonString(&out, explain->invariant_detail);
     }
     out.append(",\"totals\":{\"visited\":");
-    AppendUint(&out, totals.visited);
+    AppendUint(&out, explain->totals.visited);
     out.append(",\"pruned\":");
-    AppendUint(&out, totals.pruned);
+    AppendUint(&out, explain->totals.pruned);
     out.append(",\"cached\":");
-    AppendUint(&out, totals.cached);
+    AppendUint(&out, explain->totals.cached);
     out.append(",\"decompressed\":");
-    AppendUint(&out, totals.decompressed);
+    AppendUint(&out, explain->totals.decompressed);
     out.append("},\"render\":");
-    AppendJsonString(&out, explain->Render());
+    AppendJsonString(&out, explain->render);
     out.append("}");
   }
   out.push_back('}');
@@ -161,9 +201,8 @@ QueryOptions QueryOptionsFor(const ServiceRequest& request) {
   return options;
 }
 
-// Access-log mirror of an archive or set result (both carry these fields).
-template <typename QueryResultT>
-ServiceQueryStats StatsOf(const QueryResultT& result) {
+// The access-log stats of a query answer.
+ServiceQueryStats StatsOf(const ArchiveQueryResult& result) {
   const LocatorStats& s = result.locator;
   ServiceQueryStats stats;
   stats.hits = result.hits.size();
@@ -179,101 +218,6 @@ ServiceQueryStats StatsOf(const QueryResultT& result) {
   stats.scan_ns = s.scan_nanos;
   stats.reconstruct_ns = s.reconstruct_nanos;
   return stats;
-}
-
-// The federated success body. Same top-level shape as RenderQueryJson so
-// clients parse both, plus a "shards" accounting object and per-shard holes:
-//   {"complete":bool,"hits":[[line,"text"],...],"stats":{...},
-//    "shards":{"total":n,"pruned":n,"visited":n,"failed":n},
-//    "partial":{...},"shard_failures":[...],   -- only when degraded
-//    "explain":{...}}                          -- /explain
-std::string RenderSetQueryJson(const SetQueryResult& result,
-                               const SetExplain* explain) {
-  std::string out;
-  out.reserve(4096 + result.hits.size() * 48);
-  out.append("{\"complete\":");
-  out.append(result.complete() ? "true" : "false");
-  out.append(",\"hits\":[");
-  bool first = true;
-  for (const auto& [line, text] : result.hits) {
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    out.append("[");
-    AppendUint(&out, line);
-    out.push_back(',');
-    AppendJsonString(&out, text);
-    out.push_back(']');
-  }
-  out.append("],\"stats\":");
-  // The block/locator counters share the single-archive schema; mirror them
-  // into an ArchiveQueryResult so the JSON field set stays identical.
-  ArchiveQueryResult stats;
-  stats.blocks_pruned = result.blocks_pruned;
-  stats.blocks_queried = result.blocks_queried;
-  stats.blocks_from_cache = result.blocks_from_cache;
-  stats.locator = result.locator;
-  AppendStatsJson(&out, stats);
-  out.append(",\"shards\":{\"total\":");
-  AppendUint(&out, result.shards_total);
-  out.append(",\"pruned\":");
-  AppendUint(&out, result.shards_pruned);
-  out.append(",\"visited\":");
-  AppendUint(&out, result.shards_visited);
-  out.append(",\"failed\":");
-  AppendUint(&out, result.shards_failed);
-  out.push_back('}');
-  if (result.partial.partial()) {
-    out.append(",\"partial\":");
-    AppendPartialJson(&out, result.partial);
-  }
-  if (!result.shard_failures.empty()) {
-    out.append(",\"shard_failures\":[");
-    first = true;
-    for (const SetShardFailure& f : result.shard_failures) {
-      if (!first) {
-        out.push_back(',');
-      }
-      first = false;
-      out.append("{\"shard\":");
-      AppendUint(&out, f.shard_id);
-      out.append(",\"tenant\":");
-      AppendJsonString(&out, f.tenant);
-      out.append(",\"first_line\":");
-      AppendUint(&out, f.line_base);
-      out.append(",\"line_count\":");
-      AppendUint(&out, f.lines);
-      out.append(",\"error\":");
-      AppendJsonString(&out, f.error);
-      out.push_back('}');
-    }
-    out.push_back(']');
-  }
-  if (explain != nullptr) {
-    std::string detail;
-    const bool invariant_ok = explain->CheckInvariant(&detail);
-    const ExplainTotals totals = explain->Totals();
-    out.append(",\"explain\":{\"invariant_ok\":");
-    out.append(invariant_ok ? "true" : "false");
-    if (!invariant_ok) {
-      out.append(",\"invariant_detail\":");
-      AppendJsonString(&out, detail);
-    }
-    out.append(",\"totals\":{\"visited\":");
-    AppendUint(&out, totals.visited);
-    out.append(",\"pruned\":");
-    AppendUint(&out, totals.pruned);
-    out.append(",\"cached\":");
-    AppendUint(&out, totals.cached);
-    out.append(",\"decompressed\":");
-    AppendUint(&out, totals.decompressed);
-    out.append("},\"render\":");
-    AppendJsonString(&out, explain->Render());
-    out.append("}");
-  }
-  out.push_back('}');
-  return out;
 }
 
 }  // namespace
@@ -378,64 +322,60 @@ ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
   if (!handle.ok()) {
     return ErrorResponse(handle.status());
   }
-
-  std::lock_guard<std::mutex> lock((*handle)->mu);
-  if ((*handle)->set != nullptr) {
-    return RunOnSet(request, handle->get());
-  }
-  LogArchive* archive = (*handle)->archive.get();
-  const QueryOptions options = QueryOptionsFor(request);
-  QueryExplain explain;
-  Result<ArchiveQueryResult> result =
-      request.explain ? archive->Explain(request.command, &explain, options)
-                      : archive->Query(request.command, options);
-  if (!result.ok()) {
-    return ErrorResponse(result.status());
-  }
-  ServiceResponse response;
-  response.http_status = result->partial.partial() ? 206 : 200;
-  response.degraded = result->partial.partial();
-  response.body =
-      RenderQueryJson(*result, request.explain ? &explain : nullptr);
-  response.stats = StatsOf(*result);
-  if (request.explain) {
-    response.explain_render = explain.Render();
-  }
-  return response;
-}
-
-// Federated execution: predicates prune shards, the rest scatters across
-// the set's shards under this handle's lock (caller holds it).
-ServiceResponse ArchiveService::RunOnSet(const ServiceRequest& request,
-                                         Handle* handle) {
-  ArchiveSet* set = handle->set.get();
-  SetQueryPredicate pred;
-  if (!request.tenant.empty()) {
-    pred.tenant = request.tenant;
-  }
-  pred.from_ns = request.from_ns;
-  pred.to_ns = request.to_ns;
-  if (pred.from_ns > pred.to_ns) {
+  ArchiveSet* set = (*handle)->set.get();
+  if (set != nullptr && request.from_ns > request.to_ns) {
     return ErrorResponse(InvalidArgument("empty time range: from > to"));
   }
 
+  std::lock_guard<std::mutex> lock((*handle)->mu);
   const QueryOptions options = QueryOptionsFor(request);
-  SetExplain explain;
-  Result<SetQueryResult> result =
-      request.explain ? set->Explain(request.command, pred, &explain, options)
-                      : set->Query(request.command, pred, options);
-  if (!result.ok()) {
-    return ErrorResponse(result.status());
+  // A federated handle prunes shards by the request's predicates and
+  // scatters across the rest; a plain archive fills only the base part of
+  // the result.
+  SetQueryResult result;
+  QueryExplain explain;
+  SetExplain set_explain;
+  if (set != nullptr) {
+    SetQueryPredicate pred;
+    if (!request.tenant.empty()) {
+      pred.tenant = request.tenant;
+    }
+    pred.from_ns = request.from_ns;
+    pred.to_ns = request.to_ns;
+    Result<SetQueryResult> r =
+        request.explain
+            ? set->Explain(request.command, pred, &set_explain, options)
+            : set->Query(request.command, pred, options);
+    if (!r.ok()) {
+      return ErrorResponse(r.status());
+    }
+    result = std::move(*r);
+  } else {
+    LogArchive* archive = (*handle)->archive.get();
+    Result<ArchiveQueryResult> r =
+        request.explain ? archive->Explain(request.command, &explain, options)
+                        : archive->Query(request.command, options);
+    if (!r.ok()) {
+      return ErrorResponse(r.status());
+    }
+    static_cast<ArchiveQueryResult&>(result) = std::move(*r);
+  }
+
+  ExplainBody body;
+  if (request.explain) {
+    body.invariant_ok = set != nullptr
+                            ? set_explain.CheckInvariant(&body.invariant_detail)
+                            : explain.CheckInvariant(&body.invariant_detail);
+    body.totals = set != nullptr ? set_explain.Totals() : explain.Totals();
+    body.render = set != nullptr ? set_explain.Render() : explain.Render();
   }
   ServiceResponse response;
-  response.http_status = result->complete() ? 200 : 206;
-  response.degraded = !result->complete();
-  response.body =
-      RenderSetQueryJson(*result, request.explain ? &explain : nullptr);
-  response.stats = StatsOf(*result);
-  if (request.explain) {
-    response.explain_render = explain.Render();
-  }
+  response.http_status = result.complete() ? 200 : 206;
+  response.degraded = !result.complete();
+  response.body = RenderQueryJson(result, set != nullptr,
+                                  request.explain ? &body : nullptr);
+  response.stats = StatsOf(result);
+  response.explain_render = std::move(body.render);
   return response;
 }
 

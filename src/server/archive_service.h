@@ -189,8 +189,6 @@ class ArchiveService {
   // use. kNotFound when the directory has no manifest.
   Result<std::shared_ptr<Handle>> GetOrOpen(const std::string& name);
 
-  ServiceResponse RunOnSet(const ServiceRequest& request, Handle* handle);
-
   ServiceOptions options_;
   mutable std::mutex mu_;  // guards handles_ (not the archives themselves)
   std::map<std::string, std::shared_ptr<Handle>> handles_;

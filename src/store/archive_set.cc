@@ -1,13 +1,12 @@
 #include "src/store/archive_set.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <utility>
 
 #include "src/common/json.h"
+#include "src/common/string_util.h"
 #include "src/common/thread_pool.h"
 #include "src/query/query_parser.h"
 #include "src/store/fs_util.h"
@@ -59,38 +58,26 @@ void AppendBoolField(std::string* out, const char* key, bool value,
   out->append(value ? ":true" : ":false");
 }
 
-// Reads a u64 that may be a decimal string (current writer) or a plain
-// number (tolerated for hand-edited manifests).
+// Reads u64 member `key` of `obj` into *out: a decimal string (what the
+// writer emits) or a plain unsigned integer literal (tolerated for
+// hand-edited manifests). An absent member leaves *out at its default and
+// reads fine; a present one of any other form (negative, fractional, "12abc",
+// null) is malformed and returns false.
 bool ReadU64(const JsonValue& obj, const std::string& key, uint64_t* out) {
-  const JsonValue& v = obj.Get(key);
-  if (v.kind() == JsonValue::Kind::kString) {
-    const std::string& s = v.AsString();
-    if (s.empty()) {
-      return false;
-    }
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long parsed = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || end != s.c_str() + s.size()) {
-      return false;
-    }
-    *out = parsed;
+  const std::map<std::string, JsonValue>& members = obj.AsObject();
+  const auto it = members.find(key);
+  if (it == members.end()) {
     return true;
   }
-  if (v.kind() == JsonValue::Kind::kNumber) {
+  const JsonValue& v = it->second;
+  if (v.kind() == JsonValue::Kind::kString) {
+    return ParseDecimal(v.AsString(), out);
+  }
+  if (v.is_uint()) {
     *out = v.AsUint();
     return true;
   }
   return false;
-}
-
-uint64_t ReadU64Or(const JsonValue& obj, const std::string& key,
-                   uint64_t fallback) {
-  uint64_t out = fallback;
-  if (!ReadU64(obj, key, &out)) {
-    return fallback;
-  }
-  return out;
 }
 
 std::string JoinPath(const std::string& dir, const std::string& name) {
@@ -199,15 +186,19 @@ Result<std::vector<ShardInfo>> ArchiveSet::ParseSetManifest(
   if (!root.is_object()) {
     return CorruptData("set manifest: not a JSON object");
   }
-  const int version = static_cast<int>(root.Get("version").AsInt());
-  if (version < kOldestParsableSetManifestVersion ||
-      version > kSetManifestVersion) {
+  const JsonValue& version = root.Get("version");
+  if (!version.is_uint() ||
+      version.AsUint() < kOldestParsableSetManifestVersion ||
+      version.AsUint() > kSetManifestVersion) {
     return CorruptData("set manifest: unsupported version");
   }
-  header->window_span_ns = ReadU64Or(root, "window_span_ns", 0);
-  header->next_shard_id = ReadU64Or(root, "next_shard_id", 0);
-  header->next_line_base = ReadU64Or(root, "next_line_base", 0);
-  header->generation = ReadU64Or(root, "generation", 0);
+  *header = SetManifestHeader{};
+  if (!ReadU64(root, "window_span_ns", &header->window_span_ns) ||
+      !ReadU64(root, "next_shard_id", &header->next_shard_id) ||
+      !ReadU64(root, "next_line_base", &header->next_line_base) ||
+      !ReadU64(root, "generation", &header->generation)) {
+    return CorruptData("set manifest: malformed header counter");
+  }
 
   std::vector<ShardInfo> shards;
   const JsonValue& arr = root.Get("shards");
@@ -219,7 +210,7 @@ Result<std::vector<ShardInfo>> ArchiveSet::ParseSetManifest(
       return CorruptData("set manifest: shard entry not an object");
     }
     ShardInfo s;
-    if (!ReadU64(item, "id", &s.id)) {
+    if (item.Get("id").is_null() || !ReadU64(item, "id", &s.id)) {
       return CorruptData("set manifest: shard entry without id");
     }
     s.tenant = item.Get("tenant").AsString();
@@ -229,18 +220,22 @@ Result<std::vector<ShardInfo>> ArchiveSet::ParseSetManifest(
       return CorruptData("set manifest: shard " + std::to_string(s.id) +
                          " has a missing or unsafe dir name");
     }
-    s.window_start_ns = ReadU64Or(item, "window_start_ns", 0);
-    s.window_end_ns = ReadU64Or(item, "window_end_ns", UINT64_MAX);
-    s.line_base = ReadU64Or(item, "line_base", 0);
-    s.lines = ReadU64Or(item, "lines", 0);
-    s.raw_bytes = ReadU64Or(item, "raw_bytes", 0);
-    s.stored_bytes = ReadU64Or(item, "stored_bytes", 0);
-    s.min_ts_ns = ReadU64Or(item, "min_ts_ns", UINT64_MAX);
-    s.max_ts_ns = ReadU64Or(item, "max_ts_ns", 0);
+    s.line_span = ArchiveSet::kShardLineSpan;
+    if (!ReadU64(item, "window_start_ns", &s.window_start_ns) ||
+        !ReadU64(item, "window_end_ns", &s.window_end_ns) ||
+        !ReadU64(item, "line_base", &s.line_base) ||
+        !ReadU64(item, "lines", &s.lines) ||
+        !ReadU64(item, "raw_bytes", &s.raw_bytes) ||
+        !ReadU64(item, "stored_bytes", &s.stored_bytes) ||
+        !ReadU64(item, "min_ts_ns", &s.min_ts_ns) ||
+        !ReadU64(item, "max_ts_ns", &s.max_ts_ns) ||
+        !ReadU64(item, "superseded_by", &s.superseded_by) ||
+        !ReadU64(item, "line_span", &s.line_span)) {
+      return CorruptData("set manifest: shard " + std::to_string(s.id) +
+                         " has a malformed numeric field");
+    }
     s.sealed = item.Get("sealed").AsBool();
     s.expired = item.Get("expired").AsBool();
-    s.superseded_by = ReadU64Or(item, "superseded_by", kNotSuperseded);
-    s.line_span = ReadU64Or(item, "line_span", ArchiveSet::kShardLineSpan);
     if (s.line_span == 0) {
       return CorruptData("set manifest: shard " + std::to_string(s.id) +
                          " has a zero line span");

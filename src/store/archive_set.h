@@ -133,24 +133,22 @@ struct SetShardFailure {
   std::string error;
 };
 
-struct SetQueryResult {
-  // Global line numbers (shard line_base + shard-local line), ascending.
-  // Usually free (bases are non-decreasing in visit order); when a merged
-  // shard's line span interleaves with other tenants' bases the gather
-  // re-sorts — line numbers are globally unique, so the order is total.
-  QueryHits hits;
+// A federated answer is an archive answer over global line numbers plus
+// the shard accounting. The inherited fields read:
+//   hits      global line numbers (shard line_base + shard-local line),
+//             ascending. Usually free (bases are non-decreasing in visit
+//             order); when a merged shard's line span interleaves with other
+//             tenants' bases the gather re-sorts — line numbers are globally
+//             unique, so the order is total.
+//   blocks_*, locator
+//             summed over visited shards.
+//   partial   block-level holes, concatenated across shards with first_line
+//             rebased to global numbering.
+struct SetQueryResult : ArchiveQueryResult {
   uint32_t shards_total = 0;    // live (non-tombstoned) shards considered
   uint32_t shards_pruned = 0;   // rejected by tenant/time predicates
   uint32_t shards_visited = 0;  // actually queried (pruned+visited==total)
   uint32_t shards_failed = 0;   // of visited, how many failed entirely
-  // Summed over visited shards.
-  uint32_t blocks_pruned = 0;
-  uint32_t blocks_queried = 0;
-  uint32_t blocks_from_cache = 0;
-  LocatorStats locator;
-  // Block-level holes, concatenated across shards with first_line rebased
-  // to global numbering.
-  PartialReport partial;
   // Whole-shard holes.
   std::vector<SetShardFailure> shard_failures;
 

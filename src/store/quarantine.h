@@ -67,7 +67,7 @@ Result<QuarantineSet> LoadQuarantine(const std::string& dir,
 Status SaveQuarantine(const std::string& dir, const QuarantineSet& set,
                       StorageEnv* env = nullptr);
 
-// Serialization (exposed for tests).
+// Serialization (exposed for tests and fuzzing).
 std::string SerializeQuarantineJson(const QuarantineSet& set);
 Result<QuarantineSet> ParseQuarantineJson(std::string_view json);
 

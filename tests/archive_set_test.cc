@@ -199,6 +199,67 @@ TEST(SetManifestTest, HostileBytesRejectedCleanly) {
                    .ok());
 }
 
+TEST(SetManifestTest, MalformedCountersAreCorruptAbsentOnesDefault) {
+  auto parse = [](const std::string& fields,
+                  ArchiveSet::SetManifestHeader* header) {
+    return ArchiveSet::ParseSetManifest(
+        "{\"version\":2,\"next_shard_id\":\"1\",\"next_line_base\":\"2\"," +
+            fields + "\"shards\":[{\"id\":\"0\",\"dir\":\"shard-000000-x\"," +
+            "\"line_base\":\"1\"}]}",
+        header);
+  };
+  ArchiveSet::SetManifestHeader header;
+  // Absent optional counters take their defaults.
+  Result<std::vector<ShardInfo>> plain = parse("", &header);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(header.generation, 0u);
+  EXPECT_EQ((*plain)[0].lines, 0u);
+  EXPECT_EQ((*plain)[0].window_end_ns, UINT64_MAX);
+  EXPECT_EQ((*plain)[0].min_ts_ns, UINT64_MAX);
+  EXPECT_EQ((*plain)[0].line_span, ArchiveSet::kShardLineSpan);
+  // A plain unsigned literal is read exactly, even past 2^53.
+  Result<std::vector<ShardInfo>> literal = ArchiveSet::ParseSetManifest(
+      "{\"version\":2,\"next_shard_id\":1,\"next_line_base\":2,\"shards\":"
+      "[{\"id\":0,\"dir\":\"shard-000000-x\",\"line_base\":1,"
+      "\"min_ts_ns\":1750000000000000001}]}",
+      &header);
+  ASSERT_TRUE(literal.ok()) << literal.status().ToString();
+  EXPECT_EQ((*literal)[0].min_ts_ns, 1'750'000'000'000'000'001ull);
+  // Present but malformed: strtoull used to wrap "-1" to UINT64_MAX and
+  // read "12abc" as 0 (a fallback); each is corrupt now.
+  for (const char* field :
+       {"\"generation\":\"-1\",", "\"generation\":\"12abc\",",
+        "\"generation\":\"\",", "\"generation\":-1,", "\"generation\":2.5,",
+        "\"generation\":1e300,", "\"generation\":null,",
+        "\"generation\":\"18446744073709551616\","}) {
+    Result<std::vector<ShardInfo>> got = parse(field, &header);
+    EXPECT_FALSE(got.ok()) << "accepted: " << field;
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().code(), StatusCode::kCorruptData) << field;
+    }
+  }
+  // The version is a plain integer too; 2.5 used to truncate to 2.
+  for (const char* version : {"2.5", "1.9", "\"2\"", "1e300"}) {
+    Result<std::vector<ShardInfo>> got = ArchiveSet::ParseSetManifest(
+        std::string("{\"version\":") + version + ",\"shards\":[]}", &header);
+    EXPECT_FALSE(got.ok()) << "accepted version " << version;
+  }
+  for (const char* shard_field :
+       {"\"line_base\":\"-1\"", "\"lines\":\"-1\"", "\"raw_bytes\":\"12abc\"",
+        "\"max_ts_ns\":2.5", "\"stored_bytes\":-1", "\"window_start_ns\":\"\""}) {
+    Result<std::vector<ShardInfo>> got = ArchiveSet::ParseSetManifest(
+        std::string("{\"version\":2,\"next_shard_id\":\"1\","
+                    "\"next_line_base\":\"2\",\"shards\":[{\"id\":\"0\","
+                    "\"dir\":\"shard-000000-x\",") +
+            shard_field + "}]}",
+        &header);
+    EXPECT_FALSE(got.ok()) << "accepted: " << shard_field;
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().code(), StatusCode::kCorruptData) << shard_field;
+    }
+  }
+}
+
 // ---- ingest + routing ------------------------------------------------------
 
 TEST(ArchiveSetTest, RoutesByTenantAndWindow) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "src/common/bytes.h"
 #include "src/common/charclass.h"
 #include "src/common/hash.h"
+#include "src/common/json.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/common/rowset.h"
@@ -131,6 +133,52 @@ TEST(StringUtilTest, ParseDecimalAcceptsOnlyDigitsInRange) {
   }
   EXPECT_FALSE(ParseDecimal("101", &value, /*max=*/100));
   EXPECT_EQ(value, 7u);
+}
+
+// ---- json numbers ------------------------------------------------------------
+
+TEST(JsonValueTest, IntegerAccessorsFallBackOutsideTheTargetRange) {
+  // Finite numbers past the integer range used to reach an undefined
+  // float-to-int cast; now they return the fallback like a kind mismatch.
+  for (const char* text : {"1e300", "-1e300", "1.8446744073709552e19",
+                           "18446744073709551616"}) {
+    Result<JsonValue> v = ParseJson(text);
+    ASSERT_TRUE(v.ok()) << text;
+    EXPECT_EQ(v->AsUint(7), 7u) << text;
+    EXPECT_EQ(v->AsInt(-7), -7) << text;
+    EXPECT_FALSE(v->is_uint()) << text;
+  }
+  Result<JsonValue> big = ParseJson("9.3e18");  // past INT64_MAX only
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(big->AsUint(7), 9'300'000'000'000'000'000ull);
+  EXPECT_EQ(big->AsInt(-7), -7);
+  Result<JsonValue> negative = ParseJson("-1");
+  ASSERT_TRUE(negative.ok());
+  EXPECT_EQ(negative->AsUint(7), 7u);
+  EXPECT_EQ(negative->AsInt(), -1);
+  EXPECT_EQ(JsonValue::Number(std::nan("")).AsUint(7), 7u);
+  EXPECT_EQ(JsonValue::Number(std::nan("")).AsInt(-7), -7);
+}
+
+TEST(JsonValueTest, PlainUnsignedLiteralsKeepTheirExactValue) {
+  // 2^53 + 1 and UINT64_MAX are not doubles; the literal keeps them.
+  Result<JsonValue> odd = ParseJson("9007199254740993");
+  ASSERT_TRUE(odd.ok());
+  EXPECT_TRUE(odd->is_uint());
+  EXPECT_EQ(odd->AsUint(), 9'007'199'254'740'993ull);
+  EXPECT_EQ(odd->AsInt(), 9'007'199'254'740'993ll);
+  Result<JsonValue> max = ParseJson("18446744073709551615");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max->AsUint(), UINT64_MAX);
+  EXPECT_EQ(max->AsInt(-7), -7);
+  // Any sign, fraction or exponent makes it an ordinary number.
+  for (const char* text : {"-0", "2.0", "2e3", "2E0"}) {
+    Result<JsonValue> v = ParseJson(text);
+    ASSERT_TRUE(v.ok()) << text;
+    EXPECT_FALSE(v->is_uint()) << text;
+  }
+  EXPECT_TRUE(JsonValue::Uint(5).is_uint());
+  EXPECT_FALSE(JsonValue::Number(5).is_uint());
 }
 
 TEST(BytesTest, FixedWidthRoundTrip) {

@@ -14,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <filesystem>
@@ -600,6 +601,59 @@ TEST_F(ServerTest, FederatedSetServesPredicatedQueriesOverHttp) {
   ExpectHitsEqual(OracleHits(mono_command), mono->hits,
                   mono_command + " [mono beside set]");
   EXPECT_EQ(daemon.service().open_archives(), 2u);
+}
+
+// One renderer writes both body kinds: a federated body is an archive body
+// plus the "shards" object, with the same stats and explain fields.
+TEST_F(ServerTest, ArchiveAndFederatedBodiesShareOneSchema) {
+  std::vector<AppendReceipt> receipts;
+  std::vector<std::vector<std::string>> row_lines;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildFederatedSet(root_ + "/fedset", &receipts, &row_lines));
+  ServiceOptions options;
+  options.root = root_;
+  ArchiveService service(options);
+  const auto keys = [](const JsonValue& object) {
+    std::vector<std::string> out;
+    for (const auto& [key, value] : object.AsObject()) {
+      out.push_back(key);
+    }
+    return out;
+  };
+  for (const bool explain : {false, true}) {
+    ServiceRequest archive_request;
+    archive_request.archive = "arch";
+    archive_request.command = commands_.front();
+    archive_request.explain = explain;
+    ServiceRequest set_request;
+    set_request.archive = "fedset";
+    set_request.command = "shared-token";
+    set_request.explain = explain;
+    const ServiceResponse archive = service.Run(archive_request);
+    const ServiceResponse set = service.Run(set_request);
+    ASSERT_EQ(archive.http_status, 200) << archive.body;
+    ASSERT_EQ(set.http_status, 200) << set.body;
+    Result<JsonValue> archive_doc = ParseJson(archive.body);
+    Result<JsonValue> set_doc = ParseJson(set.body);
+    ASSERT_TRUE(archive_doc.ok()) << archive.body;
+    ASSERT_TRUE(set_doc.ok()) << set.body;
+
+    EXPECT_EQ(keys(archive_doc->Get("stats")), keys(set_doc->Get("stats")));
+    EXPECT_EQ(keys(archive_doc->Get("stats")).size(), 15u);
+    std::vector<std::string> set_top = keys(*set_doc);
+    EXPECT_EQ(set_top.size(), keys(*archive_doc).size() + 1);
+    set_top.erase(std::find(set_top.begin(), set_top.end(), "shards"));
+    EXPECT_EQ(keys(*archive_doc), set_top);
+    EXPECT_EQ(archive_doc->Get("explain").is_object(), explain);
+    EXPECT_EQ(keys(archive_doc->Get("explain")),
+              keys(set_doc->Get("explain")));
+    EXPECT_EQ(archive.explain_render.empty(), !explain);
+    EXPECT_EQ(set.explain_render.empty(), !explain);
+    EXPECT_EQ(archive.stats.hits, archive_doc->Get("hits").AsArray().size());
+    EXPECT_EQ(set.stats.hits, 12u);
+    EXPECT_EQ(set.stats.blocks_queried,
+              set_doc->Get("stats").Get("blocks_queried").AsUint());
+  }
 }
 
 TEST_F(ServerTest, FederatedBrokenShardMapsTo206WithShardFailures) {

@@ -460,12 +460,38 @@ TEST_F(StorageEnvTest, QuarantineJsonRoundTripsEntriesExactly) {
   }
 }
 
+// The sidecar's bytes are an on-disk format: old and new readers must see
+// the same document.
+TEST_F(StorageEnvTest, QuarantineJsonBytesArePinned) {
+  QuarantineSet set;
+  set.Add({3, "IO_ERROR", "fs: read \"weird\\path\"\n\tEIO", false, 1754000000});
+  set.Add({1, "UNAVAILABLE", "throttled", true, 0});
+  set.Add({7, "CORRUPT_DATA", std::string("nul\0byte\x1f", 9), false, 42});
+  EXPECT_EQ(SerializeQuarantineJson(set),
+            "{\"version\":1,\"blocks\":["
+            "{\"seq\":1,\"code\":\"UNAVAILABLE\",\"error\":\"throttled\","
+            "\"tombstoned\":true,\"quarantined_unix\":0},"
+            "{\"seq\":3,\"code\":\"IO_ERROR\","
+            "\"error\":\"fs: read \\\"weird\\\\path\\\"\\n\\tEIO\","
+            "\"tombstoned\":false,\"quarantined_unix\":1754000000},"
+            "{\"seq\":7,\"code\":\"CORRUPT_DATA\","
+            "\"error\":\"nul\\u0000byte\\u001f\",\"tombstoned\":false,"
+            "\"quarantined_unix\":42}]}\n");
+}
+
 TEST_F(StorageEnvTest, QuarantineParseRejectsGarbageCleanly) {
   for (const char* bad :
        {"", "{", "not json", "{\"version\":1}", "{\"version\":9,\"blocks\":[]}",
         "{\"version\":1,\"blocks\":[{}]}",
         "{\"version\":1,\"blocks\":[{\"seq\":99999999999}]}",
-        "{\"version\":1,\"blocks\":[]}trailing"}) {
+        "{\"version\":1,\"blocks\":[]}trailing",
+        // Known fields of the wrong type or form.
+        "{\"version\":1,\"blocks\":[{\"seq\":-1}]}",
+        "{\"version\":1,\"blocks\":[{\"seq\":2.5}]}",
+        "{\"version\":1,\"blocks\":[{\"seq\":\"2\"}]}",
+        "{\"version\":1,\"blocks\":[{\"seq\":2,\"code\":7}]}",
+        "{\"version\":1,\"blocks\":[{\"seq\":2,\"tombstoned\":\"yes\"}]}",
+        "{\"version\":\"1\",\"blocks\":[]}", "{\"version\":1,\"blocks\":{}}"}) {
     auto parsed = ParseQuarantineJson(bad);
     EXPECT_FALSE(parsed.ok()) << "accepted: " << bad;
     if (!parsed.ok()) {
