@@ -151,6 +151,12 @@ int main(int argc, char** argv) {
     sidecar.Add({5, "CORRUPT_DATA", std::string("bad\0hash", 8), true,
                  UINT64_MAX});
     WriteSeed(dir, SerializeQuarantineJson(sidecar));
+    // Numbers outside the RFC 8259 grammar: a leading zero, a plus sign and
+    // a bare fraction. The parser must reject the sidecar as corrupt data.
+    WriteSeed(dir,
+              "{\"version\":1,\"blocks\":[{\"seq\":01,\"code\":\"IO_ERROR\","
+              "\"error\":\"x\",\"tombstoned\":false,"
+              "\"quarantined_unix\":+1}],\"generation\":.5}");
   }
 
   // --- http: request/response/json bytes behind the 1-byte chunk selector

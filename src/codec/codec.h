@@ -5,8 +5,8 @@
 //   GzipCodec()  - LZSS 32 KiB window + canonical Huffman  (gzip stand-in)
 //   ZstdCodec()  - byte-aligned LZ, 64 KiB window, no entropy stage
 //                  (zstd stand-in: fastest, moderate ratio)
-//   XzCodec()    - LZSS 1 MiB window, lazy matching + canonical Huffman
-//                  (LZMA stand-in: slowest, best ratio)
+//   XzCodec()    - LZ, 512 KiB window, lazy matching + adaptive binary
+//                  range coder (LZMA stand-in: slowest, best ratio)
 //
 // Compressed blobs are self-describing: a one-byte codec id and the raw size
 // precede the payload, so DecompressAny() can decode any blob.

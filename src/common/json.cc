@@ -361,24 +361,52 @@ class Parser {
     return InvalidArgument("json: unterminated string");
   }
 
+  // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — so "+1",
+  // ".5" and "1." are rejected, and a leading zero ends the number ("01"
+  // then fails on the stray "1"). Rejecting leading zeros loses no file this
+  // repository writes: its writers emit integers through AppendUint, which
+  // never writes one.
   Status ParseNumber(JsonValue* out) {
     const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
+    auto at = [this](char c) {
+      return pos_ < text_.size() && text_[pos_] == c;
+    };
+    auto digits = [this] {
+      const size_t from = pos_;
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+        ++pos_;
+      }
+      return pos_ > from;
+    };
+    if (at('-')) {
       ++pos_;
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    if (at('0')) {
       ++pos_;
+    } else if (!digits()) {
+      return InvalidArgument(pos_ == start ? "json: expected value"
+                                           : "json: malformed number");
     }
-    if (pos_ == start) {
-      return InvalidArgument("json: expected value");
+    if (at('.')) {
+      ++pos_;
+      if (!digits()) {
+        return InvalidArgument("json: malformed number");
+      }
     }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) {
+        ++pos_;
+      }
+      if (!digits()) {
+        return InvalidArgument("json: malformed number");
+      }
+    }
+    // strtod reads the whole token: the grammar above is a subset of its.
     const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(value)) {
+    const double value = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(value)) {
       return InvalidArgument("json: malformed number");
     }
     uint64_t exact = 0;

@@ -327,7 +327,6 @@ ServiceResponse ArchiveService::Run(const ServiceRequest& request) {
     return ErrorResponse(InvalidArgument("empty time range: from > to"));
   }
 
-  std::lock_guard<std::mutex> lock((*handle)->mu);
   const QueryOptions options = QueryOptionsFor(request);
   // A federated handle prunes shards by the request's predicates and
   // scatters across the rest; a plain archive fills only the base part of
@@ -389,9 +388,8 @@ ServiceResponse ArchiveService::Compact(const std::string& archive) {
         InvalidArgument("compaction targets an ArchiveSet root; '" + archive +
                         "' is a plain archive"));
   }
-  // Deliberately not under handle->mu: Compact serializes against other
-  // compactors itself and commits under the set's own lock, so queries keep
-  // flowing while blocks are rewritten.
+  // Compact serializes against other compactors itself and commits under
+  // the set's own lock, so queries keep flowing while blocks are rewritten.
   const SetCompactionReport report = (*handle)->set->Compact();
   ServiceResponse response;
   response.http_status = report.ok() ? 200 : 500;
@@ -441,8 +439,7 @@ ArchiveService::FederationSummary ArchiveService::federation_summary() const {
     }
   }
   for (const auto& handle : sets) {
-    // janitor_status / compaction_totals take the set's own locks; no need
-    // for the handle query lock (and taking it would stall behind queries).
+    // janitor_status / compaction_totals take the set's own locks.
     ++summary.sets_open;
     const ArchiveSet::JanitorStatus janitor = handle->set->janitor_status();
     summary.janitor_passes += janitor.passes;

@@ -9,14 +9,15 @@
 //
 // Concurrency model: a request's degrade and deadline switches travel with
 // the call as QueryOptions, so no request state is parked on a shared
-// handle. The archive's engine and its BoxCache (opened boxes, Capsules
-// and query results) are thread-safe; the per-handle mutex now guards only
-// what the read path still mutates unsynchronized: the quarantine set and,
-// for a federated handle, the set's state. Queries therefore serialize
-// *per archive*, while different archives run fully in parallel and the
-// BoxCache inside each archive stays warm across all callers. Admission
-// control (how many queries may be in flight process-wide) lives in the
-// daemon, not here.
+// handle, and the service takes no per-handle lock. Everything the read
+// path touches guards itself: the archive's engine and its BoxCache
+// (opened boxes, Capsules and query results) are thread-safe, and the
+// quarantine set has its own lock across each insert and sidecar write.
+// Queries against one plain archive therefore run concurrently; a
+// federated handle serializes its queries on the ArchiveSet's own mutex.
+// Each query runs every surviving block of every target on one block loop
+// (LogArchive::RunQuery). Admission control (how many queries may be in
+// flight process-wide) lives in the daemon, not here.
 //
 // This header is also the single home of the status contract shared by the
 // CLI and the HTTP API (see HttpStatusForQuery / ExitCodeForHttpStatus):
@@ -144,15 +145,15 @@ class ArchiveService {
   explicit ArchiveService(ServiceOptions options);
 
   // Executes one query/explain request end-to-end and renders the JSON
-  // response. Thread-safe; queries against the same archive serialize on
-  // that archive's lock.
+  // response. Thread-safe; queries against one plain archive run
+  // concurrently, queries against one ArchiveSet serialize on the set.
   ServiceResponse Run(const ServiceRequest& request);
 
   // Admin: runs one compaction pass over the named ArchiveSet with the
   // service's policy. 200 + report JSON on success, 400 when the target is
-  // a plain (non-federated) archive, 404/500 as usual. The pass itself runs
-  // *without* the handle's query lock — ArchiveSet::Compact is internally
-  // safe against concurrent queries, and a long merge must not stall reads.
+  // a plain (non-federated) archive, 404/500 as usual. ArchiveSet::Compact
+  // is internally safe against concurrent queries, and builds the merged
+  // shard outside the set's lock, so a long merge does not stall reads.
   ServiceResponse Compact(const std::string& archive);
 
   // Aggregate janitor/compaction state across every open ArchiveSet handle
@@ -180,7 +181,6 @@ class ArchiveService {
   // service sniffs set_manifest.json at open time. Exactly one of the two
   // pointers is set.
   struct Handle {
-    std::mutex mu;  // guards the quarantine set and set state
     std::unique_ptr<LogArchive> archive;
     std::unique_ptr<ArchiveSet> set;
   };

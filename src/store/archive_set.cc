@@ -7,7 +7,6 @@
 
 #include "src/common/json.h"
 #include "src/common/string_util.h"
-#include "src/common/thread_pool.h"
 #include "src/query/query_parser.h"
 #include "src/store/fs_util.h"
 
@@ -642,26 +641,16 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
                                              const QueryOptions& options,
                                              SetExplain* explain) {
   std::lock_guard<std::mutex> lock(mu_);
-  // A malformed command must fail even when every shard is pruned (the
-  // answer "no hits" would be a lie about a query that has no meaning).
-  {
-    Result<std::unique_ptr<QueryExpr>> parsed = ParseQuery(command);
-    if (!parsed.ok()) {
-      return parsed.status();
-    }
-  }
   if (explain != nullptr) {
     explain->command = std::string(command);
     explain->shards.clear();
+    // One entry per live shard at most: targets keep pointers into it.
+    explain->shards.reserve(shards_.size());
   }
 
   SetQueryResult result;
-  struct Visit {
-    size_t index;            // into shards_
-    LogArchive* archive;     // open handle
-    size_t explain_index;    // into explain->shards (or SIZE_MAX)
-  };
-  std::vector<Visit> visits;
+  // Visited shards become targets of the archive's one block loop.
+  std::vector<QueryTarget> targets;
   for (size_t i = 0; i < shards_.size(); ++i) {
     const ShardInfo& s = shards_[i];
     if (!s.live()) {
@@ -671,30 +660,26 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
     }
     ++result.shards_total;
     std::string reason = ShardPruneReason(s, pred);
-    if (!reason.empty()) {
-      ++result.shards_pruned;
-      if (explain != nullptr) {
-        ShardExplain se;
-        se.id = s.id;
-        se.tenant = s.tenant;
-        se.pruned = true;
-        se.prune_reason = std::move(reason);
-        explain->shards.push_back(std::move(se));
-      }
-      continue;
-    }
-    ++result.shards_visited;
-    size_t explain_index = SIZE_MAX;
+    const bool pruned = !reason.empty();
     if (explain != nullptr) {
       ShardExplain se;
       se.id = s.id;
       se.tenant = s.tenant;
+      se.pruned = pruned;
+      se.prune_reason = std::move(reason);
       explain->shards.push_back(std::move(se));
-      explain_index = explain->shards.size() - 1;
     }
+    if (pruned) {
+      ++result.shards_pruned;
+      continue;
+    }
+    ++result.shards_visited;
     Result<LogArchive*> arch = OpenShardLocked(i);
     if (!arch.ok()) {
       if (!options.degrade) {
+        // A malformed command is the caller's error, whichever shard fails
+        // to open.
+        LOGGREP_RETURN_IF_ERROR(ParseQuery(command).status());
         return arch.status();
       }
       ++result.shards_failed;
@@ -704,96 +689,27 @@ Result<SetQueryResult> ArchiveSet::QueryImpl(std::string_view command,
       failure.line_base = s.line_base;
       failure.lines = s.lines;
       failure.error = arch.status().ToString();
-      if (explain_index != SIZE_MAX) {
-        explain->shards[explain_index].failed = true;
-        explain->shards[explain_index].failure = failure.error;
+      if (explain != nullptr) {
+        explain->shards.back().failed = true;
+        explain->shards.back().failure = failure.error;
       }
       result.shard_failures.push_back(std::move(failure));
       continue;
     }
-    visits.push_back(Visit{i, *arch, explain_index});
+    targets.push_back(QueryTarget{
+        *arch, s.line_base,
+        explain != nullptr ? &explain->shards.back().archive : nullptr});
   }
 
-  // Scatter. Each visit queries a distinct LogArchive, so parallel workers
-  // never share mutable state (they do share the env and, per archive, a
-  // BoxCache — both thread-safe). Shards run their blocks serially: the
-  // shard fan-out is the only pool.
-  QueryOptions shard_options = options;
-  shard_options.threads = 0;
-  struct Slot {
-    bool done = false;
-    Status status = OkStatus();
-    ArchiveQueryResult result;
-  };
-  std::vector<Slot> slots(visits.size());
-  auto run_one = [&](size_t v) {
-    Slot& slot = slots[v];
-    Result<ArchiveQueryResult> r =
-        explain != nullptr
-            ? visits[v].archive->Explain(
-                  command, &explain->shards[visits[v].explain_index].archive,
-                  shard_options)
-            : visits[v].archive->Query(command, shard_options);
-    if (r.ok()) {
-      slot.result = std::move(*r);
-      slot.done = true;
-    } else {
-      slot.status = r.status();
-    }
-  };
-  if (options.threads > 1 && visits.size() > 1) {
-    ThreadPool pool(std::min(options.threads, visits.size()));
-    for (size_t v = 0; v < visits.size(); ++v) {
-      pool.Submit([&, v] { run_one(v); });
-    }
-    pool.Wait();
-  } else {
-    for (size_t v = 0; v < visits.size(); ++v) {
-      run_one(v);
-    }
+  // With degrade on, the loop fails only on a malformed command: every block
+  // failure becomes a hole in the partial report, so no whole-shard query
+  // failure is left to degrade here.
+  Result<ArchiveQueryResult> gathered =
+      LogArchive::RunQuery(command, targets, options);
+  if (!gathered.ok()) {
+    return gathered.status();
   }
-
-  // Gather in id order (visits preserve it), rebasing shard-local line
-  // numbers onto each shard's global base.
-  for (size_t v = 0; v < visits.size(); ++v) {
-    const ShardInfo& s = shards_[visits[v].index];
-    Slot& slot = slots[v];
-    if (!slot.done) {
-      // A whole-shard query failure. Query-syntax errors never degrade
-      // (same rule as LogArchive) — but the upfront parse already caught
-      // those, so any InvalidArgument here is real and must surface.
-      if (!options.degrade ||
-          slot.status.code() == StatusCode::kInvalidArgument) {
-        return slot.status;
-      }
-      ++result.shards_failed;
-      SetShardFailure failure;
-      failure.shard_id = s.id;
-      failure.tenant = s.tenant;
-      failure.line_base = s.line_base;
-      failure.lines = s.lines;
-      failure.error = slot.status.ToString();
-      if (visits[v].explain_index != SIZE_MAX) {
-        explain->shards[visits[v].explain_index].failed = true;
-        explain->shards[visits[v].explain_index].failure = failure.error;
-      }
-      result.shard_failures.push_back(std::move(failure));
-      continue;
-    }
-    ArchiveQueryResult& r = slot.result;
-    for (auto& hit : r.hits) {
-      result.hits.emplace_back(s.line_base + hit.first,
-                               std::move(hit.second));
-    }
-    result.blocks_pruned += r.blocks_pruned;
-    result.blocks_queried += r.blocks_queried;
-    result.blocks_from_cache += r.blocks_from_cache;
-    result.locator.Accumulate(r.locator);
-    for (BlockQueryFailure& f : r.partial.failures) {
-      f.first_line += s.line_base;
-      result.partial.failures.push_back(std::move(f));
-    }
-  }
+  static_cast<ArchiveQueryResult&>(result) = std::move(*gathered);
   // Visit order is line_base order, so hits usually gather already sorted —
   // except when a merged shard's span interleaves with other tenants' bases.
   // Global line numbers are unique, so sorting by them is a total order.
@@ -1018,7 +934,8 @@ SetCompactionReport ArchiveSet::Compact(const CompactionPolicy& policy) {
       bool pending = false;
       auto it = open_.find(s.id);
       if (it != open_.end()) {
-        for (const QuarantineEntry& e : it->second->quarantine().entries) {
+        const QuarantineSet quarantine = it->second->quarantine();
+        for (const QuarantineEntry& e : quarantine.entries) {
           if (!e.tombstoned) {
             pending = true;
             break;

@@ -61,10 +61,12 @@
 // it to HTTP 206 exactly as for a single archive.
 //
 // Thread-safety: public methods serialize on one internal mutex (so the
-// background janitor can run against live traffic); a query with
-// QueryOptions::threads > 1 fans the *per-shard* work across a ThreadPool
-// while holding it — distinct shards are distinct archives, so workers never
-// contend.
+// background janitor can run against live traffic). A query prunes and
+// opens shards under it, then hands every visited shard to the archive's
+// one block loop (LogArchive::RunQuery): all surviving blocks of all shards
+// run on the calling thread or, with QueryOptions::threads > 1, on one pool
+// per call — so a merged shard's blocks parallelize like any other's. Each
+// shard's quarantine set takes its own lock.
 #ifndef SRC_STORE_ARCHIVE_SET_H_
 #define SRC_STORE_ARCHIVE_SET_H_
 
@@ -256,11 +258,11 @@ class ArchiveSet {
   Result<AppendReceipt> Append(std::string_view tenant, std::string_view text,
                                uint64_t ts_ns = 0);
 
-  // Federated query over every live shard surviving `pred`. With
-  // `options.threads` > 1 the surviving shards are queried concurrently on
-  // that many pool workers; each shard still runs its own blocks serially
-  // (pools never nest). `degrade` and `deadline_ns` apply to every shard,
-  // each shard getting its own retry budget.
+  // Federated query over every live shard surviving `pred`. The blocks of
+  // all surviving shards run on one block loop: with `options.threads` > 1,
+  // on one pool of that many workers (at most one per block). `degrade`
+  // applies to every shard; `deadline_ns` bounds the whole call (one retry
+  // budget, not one per shard).
   Result<SetQueryResult> Query(std::string_view command,
                                const SetQueryPredicate& pred = {},
                                const QueryOptions& options = {});

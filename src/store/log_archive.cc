@@ -351,27 +351,22 @@ Result<LogArchive> LogArchive::Open(std::string dir, ArchiveOptions options) {
                          archive.BlockPath(block.seq));
     }
   }
+  // Only unquarantined blocks were dropped, so no quarantine entry is stale.
   if (dropped > 0) {
     LOGGREP_RETURN_IF_ERROR(archive.WriteManifest());
-    // Entries for dropped trailing blocks are now stale; re-filter.
-    std::unordered_set<uint32_t> live;
-    live.reserve(archive.blocks_.size());
-    for (const BlockInfo& block : archive.blocks_) {
-      live.insert(block.seq);
-    }
-    auto& entries = archive.quarantine_.entries;
-    entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                 [&live](const QuarantineEntry& e) {
-                                   return live.count(e.seq) == 0;
-                                 }),
-                  entries.end());
   }
   SweepTempFiles(archive.dir_, env);
   archive.SweepUnreferencedBlocks();
   return archive;
 }
 
+QuarantineSet LogArchive::quarantine() const {
+  const std::lock_guard<std::mutex> lock(*quarantine_mu_);
+  return quarantine_;
+}
+
 Status LogArchive::ReloadQuarantine() {
+  const std::lock_guard<std::mutex> lock(*quarantine_mu_);
   Result<QuarantineSet> loaded = LoadQuarantine(dir_, storage_env());
   if (!loaded.ok()) {
     quarantine_ = QuarantineSet{};
@@ -578,6 +573,7 @@ Status LogArchive::CommitTombstonedBlock(BlockInfo block,
   entry.seq = block.seq;
   entry.tombstoned = true;
 
+  const std::lock_guard<std::mutex> lock(*quarantine_mu_);
   // Sidecar first: Open treats a manifest entry with no block file as
   // corruption *unless* the quarantine explains it, and ReloadQuarantine
   // filters entries whose seq the manifest doesn't know — so sidecar-then-
@@ -628,14 +624,17 @@ Result<std::string> LogArchive::LoadBlockBytes(uint32_t seq,
                        options_.metrics);
 }
 
-void LogArchive::QuarantineBlock(const BlockInfo& block, const Status& cause) {
+bool LogArchive::QuarantineBlock(const BlockInfo& block, const Status& cause) {
   QuarantineEntry entry;
   entry.seq = block.seq;
   entry.code = StatusCodeName(cause.code());
   entry.error = cause.message();
   entry.quarantined_unix = static_cast<uint64_t>(::time(nullptr));
-  quarantine_.Add(std::move(entry));
-  if (options_.metrics != nullptr) {
+  // One lock across the insert and the sidecar write, so concurrent
+  // failures never persist an older set over a newer one.
+  const std::lock_guard<std::mutex> lock(*quarantine_mu_);
+  const bool added = quarantine_.Add(std::move(entry));
+  if (added && options_.metrics != nullptr) {
     options_.metrics->GetOrCreate("storage.quarantine.added")->Add(1);
   }
   // Best effort: failing to persist the sidecar must not fail the query on
@@ -647,17 +646,19 @@ void LogArchive::QuarantineBlock(const BlockInfo& block, const Status& cause) {
           ->Add(1);
     }
   }
+  return added;
 }
 
-bool LogArchive::SkipIfQuarantined(const BlockInfo& block,
+bool LogArchive::SkipIfQuarantined(const BlockInfo& block, uint64_t line_base,
                                    PartialReport* report) const {
+  const std::lock_guard<std::mutex> lock(*quarantine_mu_);
   const QuarantineEntry* entry = quarantine_.Find(block.seq);
   if (entry == nullptr) {
     return false;
   }
   BlockQueryFailure failure;
   failure.seq = block.seq;
-  failure.first_line = block.first_line;
+  failure.first_line = line_base + block.first_line;
   failure.line_count = block.line_count;
   failure.error = entry->code.empty()
                       ? entry->error
@@ -668,19 +669,19 @@ bool LogArchive::SkipIfQuarantined(const BlockInfo& block,
   return true;
 }
 
-bool LogArchive::DegradeOnFailure(const BlockInfo& block, const Status& cause,
-                                  bool degrade, PartialReport* report) {
+bool LogArchive::DegradeOnFailure(const BlockInfo& block, uint64_t line_base,
+                                  const Status& cause, bool degrade,
+                                  PartialReport* report) {
   // A malformed query is the caller's bug, not the block's: never degrade.
   if (!degrade || cause.code() == StatusCode::kInvalidArgument) {
     return false;
   }
-  QuarantineBlock(block, cause);
   BlockQueryFailure failure;
   failure.seq = block.seq;
-  failure.first_line = block.first_line;
+  failure.first_line = line_base + block.first_line;
   failure.line_count = block.line_count;
   failure.error = cause.ToString();
-  failure.newly_quarantined = true;
+  failure.newly_quarantined = QuarantineBlock(block, cause);
   failure.tombstoned = false;
   report->failures.push_back(std::move(failure));
   return true;
@@ -720,24 +721,25 @@ uint64_t LogArchive::PruneBlocks(const std::vector<std::string>& required,
 
 Result<ArchiveQueryResult> LogArchive::Query(std::string_view command,
                                              const QueryOptions& options) {
-  return RunQuery(command, options, /*explain=*/nullptr);
+  return RunQuery(command, {QueryTarget{this}}, options);
 }
 
 Result<ArchiveQueryResult> LogArchive::Explain(std::string_view command,
                                                QueryExplain* explain,
                                                const QueryOptions& options) {
-  explain->command.assign(command.data(), command.size());
-  explain->blocks.clear();
-  return RunQuery(command, options, explain);
+  return RunQuery(command, {QueryTarget{this, 0, explain}}, options);
 }
 
-Result<ArchiveQueryResult> LogArchive::RunQuery(std::string_view command,
-                                                const QueryOptions& options,
-                                                QueryExplain* explain) {
+Result<ArchiveQueryResult> LogArchive::RunQuery(
+    std::string_view command, const std::vector<QueryTarget>& targets,
+    const QueryOptions& options) {
   const bool threaded = options.threads > 1;
-  const TraceSpan span(explain != nullptr ? "archive.explain"
-                       : threaded         ? "archive.parallel_query"
-                                          : "archive.query",
+  const bool explaining =
+      std::any_of(targets.begin(), targets.end(),
+                  [](const QueryTarget& t) { return t.explain != nullptr; });
+  const TraceSpan span(explaining ? "archive.explain"
+                       : threaded ? "archive.parallel_query"
+                                  : "archive.query",
                        "query");
   Result<std::unique_ptr<QueryExpr>> expr = ParseQuery(command);
   if (!expr.ok()) {
@@ -745,110 +747,134 @@ Result<ArchiveQueryResult> LogArchive::RunQuery(std::string_view command,
   }
   const std::vector<std::string> required = RequiredKeywords(**expr);
 
-  ArchiveQueryResult result;
-  std::vector<const BlockInfo*> to_query;
-  result.locator.prune_nanos =
-      PruneBlocks(required, &to_query, &result.blocks_pruned, explain);
-  // PruneBlocks appended one BlockExplain per block, in blocks_ order.
-  auto explain_of = [&](const BlockInfo* block) -> BlockExplain* {
-    return explain != nullptr ? &explain->blocks[block - blocks_.data()]
-                              : nullptr;
-  };
-  auto mark_failed = [&](const BlockInfo* block) {
-    if (BlockExplain* be = explain_of(block)) {
-      be->block_failed = true;
-      be->failure = result.partial.failures.back().error;
-    }
-  };
-
-  // Known-sick blocks are standing holes, skipped without touching storage
-  // (no retry storm on a known-sick block). Strict mode is complete-or-error:
-  // a standing hole (even one a repair already tombstoned) makes the answer
-  // incomplete, so it fails rather than silently narrowing to healthy blocks.
-  std::vector<const BlockInfo*> healthy;
-  healthy.reserve(to_query.size());
-  for (const BlockInfo* block : to_query) {
-    if (!SkipIfQuarantined(*block, &result.partial)) {
-      healthy.push_back(block);
-      continue;
-    }
-    if (!options.degrade) {
-      return Status(StatusCode::kUnavailable,
-                    "block " + std::to_string(block->seq) +
-                        " is quarantined and degraded queries are disabled: " +
-                        result.partial.failures.back().error);
-    }
-    mark_failed(block);
-  }
-
-  struct Slot {
+  // One task per block that survives pruning and quarantine, across every
+  // target, in target-then-block order.
+  struct Task {
+    const QueryTarget* target;
+    const BlockInfo* block;
+    BlockExplain* explain;  // null unless the target explains
     Status status;
     QueryResult result;
   };
-  std::vector<Slot> slots(healthy.size());
+  ArchiveQueryResult result;
+  std::vector<Task> tasks;
+  // Each target's standing holes, reported ahead of its fresh failures.
+  std::vector<PartialReport> standing(targets.size());
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const QueryTarget& target = targets[t];
+    LogArchive& archive = *target.archive;
+    if (target.explain != nullptr) {
+      target.explain->command.assign(command.data(), command.size());
+      target.explain->blocks.clear();
+    }
+    std::vector<const BlockInfo*> to_query;
+    result.locator.prune_nanos += archive.PruneBlocks(
+        required, &to_query, &result.blocks_pruned, target.explain);
+    for (const BlockInfo* block : to_query) {
+      // PruneBlocks appended one BlockExplain per block, in blocks_ order.
+      BlockExplain* be =
+          target.explain != nullptr
+              ? &target.explain->blocks[block - archive.blocks_.data()]
+              : nullptr;
+      // Known-sick blocks are standing holes, skipped without touching
+      // storage (no retry storm on a known-sick block). Strict mode is
+      // complete-or-error: a standing hole (even one a repair already
+      // tombstoned) makes the answer incomplete, so it fails rather than
+      // silently narrowing to healthy blocks.
+      if (!archive.SkipIfQuarantined(*block, target.line_base, &standing[t])) {
+        tasks.push_back(Task{&target, block, be, {}, {}});
+        continue;
+      }
+      const std::string& error = standing[t].failures.back().error;
+      if (!options.degrade) {
+        return Status(StatusCode::kUnavailable,
+                      "block " + std::to_string(block->seq) +
+                          " is quarantined and degraded queries are "
+                          "disabled: " +
+                          error);
+      }
+      if (be != nullptr) {
+        be->block_failed = true;
+        be->failure = error;
+      }
+    }
+  }
+
   // One retry budget for the whole call: the *query* has a deadline, not
-  // each block (Expired() is a lock-free read of the env clock, so workers
-  // share it).
-  const RetryBudget budget(storage_env(), options.deadline_ns);
-  auto run_block = [&](size_t i) {
-    const BlockInfo* block = healthy[i];
-    const TraceSpan block_span("archive.query_block", "query", "seq",
-                               block->seq);
+  // each block or shard (Expired() is a lock-free read of the env clock, so
+  // workers share it).
+  const RetryBudget budget(
+      targets.empty() ? nullptr : targets[0].archive->storage_env(),
+      options.deadline_ns);
+  auto run_task = [&](Task& task) {
+    LogArchive& archive = *task.target->archive;
+    const uint32_t seq = task.block->seq;
+    const TraceSpan block_span("archive.query_block", "query", "seq", seq);
     // Warm blocks never touch the file: the loader only runs on a box-cache
     // miss (or when the archive runs without a cache).
-    auto loader = [this, block, &budget]() -> Result<std::string> {
-      return LoadBlockBytes(block->seq, &budget);
+    auto loader = [&archive, seq, &budget]() -> Result<std::string> {
+      return archive.LoadBlockBytes(seq, &budget);
     };
-    Result<QueryResult> r = engine_.QueryBox(KeyForBlock(block->seq), loader,
-                                             command, explain_of(block));
+    Result<QueryResult> r = archive.engine_.QueryBox(
+        archive.KeyForBlock(seq), loader, command, task.explain);
     if (r.ok()) {
-      slots[i].result = std::move(*r);
+      task.result = std::move(*r);
     } else {
-      slots[i].status = r.status();
+      task.status = r.status();
     }
   };
-  if (threaded) {
-    // Every worker calls the archive's one engine: its caches are shared
-    // and thread-safe, so a block decompressed or answered by one worker
-    // (or by a prior serial query) is warm for every other.
-    ThreadPool pool(std::min(options.threads, healthy.size()));
-    for (size_t i = 0; i < healthy.size(); ++i) {
+  if (threaded && tasks.size() > 1) {
+    // Every worker calls its block's archive's one engine: the caches are
+    // shared and thread-safe, so a block decompressed or answered by one
+    // worker (or by a prior serial query) is warm for every other.
+    ThreadPool pool(std::min(options.threads, tasks.size()));
+    for (Task& task : tasks) {
       // ThreadPool installs the submitting span as parent, so block spans
       // nest under archive.parallel_query even on worker threads.
-      pool.Submit([&, i] { run_block(i); });
+      pool.Submit([&] { run_task(task); });
     }
     pool.Wait();
   } else {
-    for (size_t i = 0; i < healthy.size(); ++i) {
-      run_block(i);
-      if (!slots[i].status.ok() && !options.degrade) {
+    for (Task& task : tasks) {
+      run_task(task);
+      if (!task.status.ok() && !options.degrade) {
         break;  // the collection below fails the query on this block
       }
     }
   }
 
-  // Collection runs on the calling thread, in block order: quarantine
-  // mutation and sidecar persistence stay single-threaded.
-  for (size_t i = 0; i < healthy.size(); ++i) {
-    const BlockInfo* block = healthy[i];
-    Slot& slot = slots[i];
-    if (!slot.status.ok()) {
-      if (!DegradeOnFailure(*block, slot.status, options.degrade,
-                            &result.partial)) {
-        return slot.status;
+  // Collection runs on the calling thread, in target-then-block order.
+  auto next = tasks.begin();
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const QueryTarget& target = targets[t];
+    for (BlockQueryFailure& hole : standing[t].failures) {
+      result.partial.failures.push_back(std::move(hole));
+    }
+    for (; next != tasks.end() && next->target == &target; ++next) {
+      const BlockInfo& block = *next->block;
+      if (!next->status.ok()) {
+        if (!target.archive->DegradeOnFailure(block, target.line_base,
+                                              next->status, options.degrade,
+                                              &result.partial)) {
+          return next->status;
+        }
+        if (next->explain != nullptr) {
+          next->explain->block_failed = true;
+          next->explain->failure = result.partial.failures.back().error;
+        }
+        continue;
       }
-      mark_failed(block);
-      continue;
+      ++result.blocks_queried;
+      if (next->result.from_cache) {
+        ++result.blocks_from_cache;
+      }
+      const uint64_t base = target.line_base + block.first_line;
+      for (auto& [line, text_line] : next->result.hits) {
+        result.hits.emplace_back(base + line, std::move(text_line));
+      }
+      result.locator.Accumulate(next->result.locator);
+      next->result = QueryResult();  // the hits moved out; release them
     }
-    ++result.blocks_queried;
-    if (slot.result.from_cache) {
-      ++result.blocks_from_cache;
-    }
-    for (auto& [line, text_line] : slot.result.hits) {
-      result.hits.emplace_back(block->first_line + line, std::move(text_line));
-    }
-    result.locator.Accumulate(slot.result.locator);
-    slot.result = QueryResult();  // the hits moved out; release their slots
   }
   return result;
 }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -70,10 +71,11 @@ struct QueryOptions {
   // Retry deadline: the call never spends more than this much wall time in
   // backoff, no matter how many blocks fail. 0 means unlimited.
   uint64_t deadline_ns = 0;
-  // 0 or 1: blocks run serially on the calling thread. More: non-pruned
-  // blocks run on a pool of this many workers (§6: queries parallelize
-  // trivially at block granularity). Either way every block goes through
-  // the archive's one engine, whose result cache serves repeated commands.
+  // 0 or 1: blocks run serially on the calling thread. More: two or more
+  // non-pruned blocks run on a pool of at most this many workers (§6:
+  // queries parallelize trivially at block granularity). Either way every
+  // block goes through the archive's one engine, whose result cache serves
+  // repeated commands.
   size_t threads = 0;
 };
 
@@ -155,6 +157,19 @@ struct ArchiveQueryResult {
   LocatorStats locator;  // summed over queried blocks (+ prune stage time)
 };
 
+class LogArchive;
+
+// One archive's share of a LogArchive::RunQuery call.
+struct QueryTarget {
+  LogArchive* archive = nullptr;
+  // Added to every hit's and every hole's line number: a set shard's global
+  // base, 0 for a plain archive.
+  uint64_t line_base = 0;
+  // When non-null, receives the archive's per-block decision record (see
+  // LogArchive::Explain).
+  QueryExplain* explain = nullptr;
+};
+
 class LogArchive {
  public:
   // Creates an empty archive in `dir` (created if missing; must not already
@@ -211,12 +226,25 @@ class LogArchive {
                                      QueryExplain* explain,
                                      const QueryOptions& options = {});
 
+  // The one block loop behind every query, of an archive or of a set: the
+  // command is parsed once, each target's blocks are pruned and its
+  // quarantined blocks skipped, then every remaining block of every target
+  // runs serially on the calling thread (threads <= 1, or a single block)
+  // or on one pool of min(threads, blocks) workers. One retry budget covers
+  // the whole call.
+  // Degrading, quarantining and rebasing hits to line_base + block
+  // first_line run on the calling thread, in target-then-block order.
+  static Result<ArchiveQueryResult> RunQuery(
+      std::string_view command, const std::vector<QueryTarget>& targets,
+      const QueryOptions& options);
+
   const std::vector<BlockInfo>& blocks() const { return blocks_; }
   // The shared cache (null when box_cache_budget_bytes == 0).
   BoxCache* box_cache() const { return box_cache_.get(); }
-  // Blocks currently excluded from queries (loaded from quarantine.json at
-  // Open, grown by failed queries, shrunk by `loggrep_cli repair`).
-  const QuarantineSet& quarantine() const { return quarantine_; }
+  // A snapshot of the blocks currently excluded from queries (loaded from
+  // quarantine.json at Open, grown by failed queries, shrunk by
+  // `loggrep_cli repair`).
+  QuarantineSet quarantine() const;
   // Re-reads quarantine.json (picks up an external repair without reopening).
   Status ReloadQuarantine();
   // The storage backend in effect (never null).
@@ -247,21 +275,20 @@ class LogArchive {
   // Records `cause` in the quarantine set and persists the sidecar (best
   // effort: a failing sidecar write must not fail the query on top of the
   // block failure; it is counted in "storage.quarantine.persist_failures").
-  void QuarantineBlock(const BlockInfo& block, const Status& cause);
-  // The one block loop behind Query and Explain (`explain` may be null):
-  // prune, skip quarantined blocks, run the rest serially or on a pool,
-  // then degrade, quarantine and rebase hits on the calling thread.
-  Result<ArchiveQueryResult> RunQuery(std::string_view command,
-                                      const QueryOptions& options,
-                                      QueryExplain* explain);
-  // Appends the failure of `block` to `report` (and quarantines it when the
-  // failure is fresh). Returns false when the failure must abort the query
-  // instead (`degrade` off, or a query-syntax error).
-  bool DegradeOnFailure(const BlockInfo& block, const Status& cause,
-                        bool degrade, PartialReport* report);
-  // When `block` is quarantined, appends the standing hole to `report` and
-  // returns true (the caller skips the block without touching storage).
-  bool SkipIfQuarantined(const BlockInfo& block, PartialReport* report) const;
+  // Returns true when the block was not quarantined before (a concurrent
+  // query may have recorded the same failure first).
+  bool QuarantineBlock(const BlockInfo& block, const Status& cause);
+  // Appends the failure of `block` to `report` (and quarantines it), its
+  // first_line rebased by `line_base`. Returns false when the failure must
+  // abort the query instead (`degrade` off, or a query-syntax error).
+  bool DegradeOnFailure(const BlockInfo& block, uint64_t line_base,
+                        const Status& cause, bool degrade,
+                        PartialReport* report);
+  // When `block` is quarantined, appends the standing hole (first_line
+  // rebased by `line_base`) to `report` and returns true (the caller skips
+  // the block without touching storage).
+  bool SkipIfQuarantined(const BlockInfo& block, uint64_t line_base,
+                         PartialReport* report) const;
   // Removes block-*.lgc files whose seq has no manifest entry (droppings of
   // commits that died after the block rename but before the manifest swap).
   void SweepUnreferencedBlocks() const;
@@ -283,8 +310,10 @@ class LogArchive {
   std::shared_ptr<BoxCache> box_cache_;
   LogGrepEngine engine_;
   std::vector<BlockInfo> blocks_;
-  // Mutated only on the calling thread (threaded queries quarantine during
-  // the collection phase, never from workers).
+  // Guards quarantine_ and its sidecar writes: concurrent queries on one
+  // archive quarantine failing blocks and read the set without any outer
+  // lock. Held by pointer so the archive stays movable.
+  std::unique_ptr<std::mutex> quarantine_mu_ = std::make_unique<std::mutex>();
   QuarantineSet quarantine_;
 };
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/trace.h"
 #include "src/store/fs_util.h"
 #include "src/store/shard_router.h"
 #include "src/store/storage_env.h"
@@ -458,6 +459,64 @@ TEST(ArchiveSetTest, ParallelQueryMatchesSerial) {
   EXPECT_EQ(serial->hits, parallel->hits);
   EXPECT_EQ(serial->shards_visited, parallel->shards_visited);
   EXPECT_EQ(serial->blocks_queried, parallel->blocks_queried);
+}
+
+// A merged shard's blocks run on the same one block loop as every other
+// block: a threaded set query fans them across the pool, not one shard per
+// worker with its blocks in series.
+TEST(ArchiveSetTest, MergedShardBlocksRunOnTheSharedPool) {
+  const std::string root = TestDir("merged-parallel");
+  auto set = ArchiveSet::Create(root, SmallSetOptions());
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  // Four windows of tenant "a": the rolls seal the first three shards.
+  for (int w = 0; w < 4; ++w) {
+    auto receipt = (*set)->Append("a", MakeText("alpha", 3, 3 * w),
+                                  static_cast<uint64_t>(w) * kSpan + 100);
+    ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+  }
+  const SetCompactionReport report = (*set)->Compact();
+  ASSERT_TRUE(report.ok()) << report.fatal.ToString();
+  ASSERT_EQ(report.merges_committed, 1u);
+  ASSERT_EQ(report.shards_merged, 3u);
+
+  auto serial = (*set)->Query("shared-token", {});
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_EQ(serial->shards_visited, 2u);  // the merged shard + the active one
+  EXPECT_EQ(serial->blocks_queried, 4u);  // three merged blocks + one
+
+  Tracer::Global().Clear();
+  Tracer::Global().Enable(true);
+  auto parallel = (*set)->Query("shared-token", {}, {.threads = 4});
+  Tracer::Global().Enable(false);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_EQ(parallel->hits, serial->hits);
+  EXPECT_EQ(parallel->blocks_queried, serial->blocks_queried);
+
+  const std::vector<TraceEvent> events = Tracer::Global().Snapshot();
+  const TraceEvent* loop = nullptr;
+  for (const TraceEvent& e : events) {
+    if (e.name != nullptr &&
+        std::string_view(e.name) == "archive.parallel_query") {
+      ASSERT_EQ(loop, nullptr) << "one block loop per call";
+      loop = &e;
+    }
+  }
+  ASSERT_NE(loop, nullptr);
+  size_t blocks = 0;
+  size_t off_caller = 0;
+  for (const TraceEvent& e : events) {
+    if (e.name != nullptr &&
+        std::string_view(e.name) == "archive.query_block") {
+      EXPECT_EQ(e.parent_id, loop->span_id);
+      ++blocks;
+      if (e.tid != loop->tid) {
+        ++off_caller;
+      }
+    }
+  }
+  EXPECT_EQ(blocks, 4u);
+  EXPECT_GE(off_caller, 1u);
+  Tracer::Global().Clear();
 }
 
 TEST(ArchiveSetTest, InvalidCommandFailsEvenWhenEverythingPruned) {

@@ -181,6 +181,28 @@ TEST(JsonValueTest, PlainUnsignedLiteralsKeepTheirExactValue) {
   EXPECT_FALSE(JsonValue::Number(5).is_uint());
 }
 
+TEST(JsonValueTest, NumbersFollowTheRfc8259Grammar) {
+  // A plus sign, a bare fraction, a trailing point and leading zeros are
+  // not JSON numbers.
+  for (const char* bad :
+       {"+1", ".5", "1.", "01", "-01", "00", "-", "--1", "1e", "1e+", "1.e5",
+        "-.5", "0x10", "[+1]", "[01]", "{\"a\":01}", "{\"a\":1.}"}) {
+    Result<JsonValue> v = ParseJson(bad);
+    EXPECT_FALSE(v.ok()) << bad;
+    if (!v.ok()) {
+      EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << bad;
+    }
+  }
+  for (const char* good : {"0", "-0", "0.5", "-0.5", "10", "1e5", "1E-5",
+                           "1.5e+3", "0e0", "[0,10,-2]", "{\"a\":0}"}) {
+    EXPECT_TRUE(ParseJson(good).ok()) << good;
+  }
+  Result<JsonValue> zero = ParseJson("0");
+  ASSERT_TRUE(zero.ok());
+  EXPECT_TRUE(zero->is_uint());
+  EXPECT_EQ(zero->AsUint(7), 0u);
+}
+
 TEST(BytesTest, FixedWidthRoundTrip) {
   ByteWriter w;
   w.PutU8(0xAB);

@@ -5,6 +5,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "src/common/bloom.h"
 #include "src/common/hash.h"
@@ -13,6 +14,8 @@
 #include "src/parser/tokenizer.h"
 #include "src/query/query_parser.h"
 #include "src/store/log_archive.h"
+#include "src/store/quarantine.h"
+#include "src/store/storage_env.h"
 #include "src/workload/datasets.h"
 #include "src/workload/loggen.h"
 
@@ -370,6 +373,75 @@ TEST_F(LogArchiveTest, StrictQueryFailsOnQuarantinedBlockSerialOrThreaded) {
     ASSERT_EQ(degraded->partial.failures.size(), 1u);
     EXPECT_FALSE(degraded->partial.failures[0].newly_quarantined);
   }
+}
+
+// Eight threads query one archive with no outside lock while one block
+// fails on every read. The quarantine set guards itself: every answer is the
+// healthy-block oracle hit for hit plus one hole, and the sidecar records
+// the block exactly once.
+TEST_F(LogArchiveTest, ConcurrentQueriesShareOneQuarantine) {
+  constexpr int kBlocks = 4;
+  constexpr int kLinesPerBlock = 40;
+  constexpr uint32_t kSickSeq = 2;
+  FaultInjectingStorageEnv env(FaultOptions{});
+  MetricsRegistry metrics;
+  ArchiveOptions options;
+  options.env = &env;
+  options.metrics = &metrics;
+  QueryHits oracle;
+  {
+    auto archive = LogArchive::Create(dir_, options);
+    ASSERT_TRUE(archive.ok()) << archive.status().ToString();
+    for (int b = 0; b < kBlocks; ++b) {
+      std::string text;
+      for (int i = 0; i < kLinesPerBlock; ++i) {
+        const std::string line = "statusfine block-" + std::to_string(b) +
+                                 " request-" + std::to_string(i);
+        text += line + "\n";
+        if (b != static_cast<int>(kSickSeq)) {
+          oracle.emplace_back(b * kLinesPerBlock + i, line);
+        }
+      }
+      ASSERT_TRUE(archive->AppendBlock(text).ok());
+    }
+  }
+  auto archive = LogArchive::Open(dir_, options);
+  ASSERT_TRUE(archive.ok()) << archive.status().ToString();
+  env.AddPermanentFault(LogArchive::BlockFileName(kSickSeq));
+
+  constexpr int kThreads = 8;
+  constexpr int kQueriesPerThread = 4;
+  std::vector<std::vector<Result<ArchiveQueryResult>>> answers(kThreads);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int q = 0; q < kQueriesPerThread; ++q) {
+        // Half the calls run their blocks on a pool of their own.
+        const QueryOptions query_options{.threads = size_t(t % 2 == 0 ? 0 : 3)};
+        answers[t].push_back(archive->Query("statusfine", query_options));
+      }
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (const Result<ArchiveQueryResult>& answer : answers[t]) {
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_EQ(answer->hits, oracle);
+      ASSERT_EQ(answer->partial.failures.size(), 1u);
+      EXPECT_EQ(answer->partial.failures[0].seq, kSickSeq);
+      EXPECT_EQ(answer->partial.failures[0].first_line,
+                uint64_t{kSickSeq} * kLinesPerBlock);
+    }
+  }
+  Result<QuarantineSet> sidecar = LoadQuarantine(dir_);
+  ASSERT_TRUE(sidecar.ok()) << sidecar.status().ToString();
+  ASSERT_EQ(sidecar->entries.size(), 1u);
+  EXPECT_EQ(sidecar->entries[0].seq, kSickSeq);
+  EXPECT_EQ(archive->quarantine().entries.size(), 1u);
+  EXPECT_EQ(metrics.GetOrCreate("storage.quarantine.added")->value(), 1u);
 }
 
 TEST_F(LogArchiveTest, CreateTwiceFails) {
